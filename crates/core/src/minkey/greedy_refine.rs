@@ -7,7 +7,7 @@ use qid_dataset::{AttrId, Dataset};
 use qid_sampling::swor::sample_indices;
 
 use crate::filter::FilterParams;
-use crate::separation::{PartitionIndex, Refiner};
+use crate::separation::{FlatGroups, PartitionIndex, Refiner};
 
 use super::MinKeyResult;
 
@@ -70,10 +70,10 @@ impl GreedyRefineMinKey {
         let mut refiner = Refiner::new(&idx);
 
         // State: cliques of size ≥ 2 (singletons are fully separated).
-        let mut groups: Vec<Vec<u32>> = if n >= 2 {
-            vec![(0..n as u32).collect()]
+        let mut groups = if n >= 2 {
+            FlatGroups::whole(n)
         } else {
-            Vec::new()
+            FlatGroups::default()
         };
         let mut unseparated = total_pairs;
         let mut chosen: Vec<AttrId> = Vec::new();
@@ -90,7 +90,7 @@ impl GreedyRefineMinKey {
                 }
                 let attr = AttrId::new(k);
                 let mut gain: u128 = 0;
-                for g in &groups {
+                for g in groups.iter() {
                     let c = g.len() as u128;
                     let mut sq_after: u128 = 0;
                     for &sz in refiner.split_sizes(&idx, attr, g) {
@@ -113,9 +113,9 @@ impl GreedyRefineMinKey {
             let attr = AttrId::new(k);
             chosen.push(attr);
             unseparated -= gain;
-            let mut next = Vec::with_capacity(groups.len());
-            for g in &groups {
-                next.extend(refiner.split(&idx, attr, g, false));
+            let mut next = FlatGroups::default();
+            for g in groups.iter() {
+                refiner.split(&idx, attr, g, &mut next);
             }
             groups = next;
         }

@@ -7,10 +7,14 @@
 //!   attribute `k` alone (built by sorting each column: `O(m·n log n)`);
 //! * **Algorithm 3** — splitting a group of rows by one attribute in
 //!   linear time using `P` and an occupied-list `L` (no per-call
-//!   allocation proportional to the attribute's cardinality);
+//!   allocation proportional to the attribute's cardinality), either
+//!   materialised or as an early-exit "does it split into singletons?"
+//!   test that stops at the first collision;
 //! * exact separation counting: the number of pairs an attribute set
 //!   fails to separate, `Γ_A = Σ_i C(c_i, 2)` over the clique sizes
 //!   `c_i` of the induced partition.
+
+use std::ops::Range;
 
 use qid_dataset::{AttrId, Dataset};
 
@@ -93,11 +97,16 @@ impl PartitionIndex {
 /// (the occupied-list trick of the paper's Algorithm 3).
 #[derive(Clone, Debug)]
 pub struct Refiner {
-    /// `head[p]` = index into `bucket_rows` where partition p's rows
-    /// start accumulating; reset lazily via `occupied`.
+    /// Per-partition counts (then write cursors) of the current split;
+    /// every touched slot is reset through `occupied` before returning.
     counts: Vec<u32>,
     /// Partition ids touched by the current split (the list `L`).
     occupied: Vec<u32>,
+    /// `stamps[p] == generation` iff partition `p` was already seen by
+    /// the current [`separates_all`](Self::separates_all) call.
+    stamps: Vec<u32>,
+    /// Stamp of the current (or last) `separates_all` call.
+    generation: u32,
 }
 
 impl Refiner {
@@ -107,7 +116,43 @@ impl Refiner {
         Refiner {
             counts: vec![0; max_parts],
             occupied: Vec::with_capacity(64),
+            stamps: vec![0; max_parts],
+            generation: 0,
         }
+    }
+
+    /// True iff `attr` separates every pair of rows in `group`, i.e.
+    /// `group` splits into singletons only.
+    ///
+    /// Marks partition ids with a per-call generation stamp and stops at
+    /// the first id seen twice, so it costs `O(|group|)` at most and
+    /// never clears scratch — except once every 2³² calls, when the
+    /// stamp wraps and stale marks could otherwise alias the new one.
+    pub fn separates_all(&mut self, idx: &PartitionIndex, attr: AttrId, group: &[u32]) -> bool {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        let table = &idx.table[attr.index()];
+        for &r in group {
+            let stamp = &mut self.stamps[table[r as usize] as usize];
+            if *stamp == generation {
+                return false;
+            }
+            *stamp = generation;
+        }
+        true
+    }
+
+    /// Moves the [`separates_all`](Self::separates_all) stamp forward to
+    /// `generation`, so tests can drive it across its wrap. Never moves
+    /// it backwards: older marks would alias.
+    #[doc(hidden)]
+    pub fn fast_forward_generation(&mut self, generation: u32) {
+        assert!(generation >= self.generation, "stamps only move forward");
+        self.generation = generation;
     }
 
     /// The sizes of the sub-groups `group` splits into under `attr`
@@ -139,19 +184,19 @@ impl Refiner {
     }
 
     /// Splits `group` into sub-groups by `attr` (Algorithm 3, full
-    /// materialisation). Sub-groups of size 1 are dropped when
-    /// `keep_singletons` is false — singletons are fully separated and
-    /// never participate in further refinement.
+    /// materialisation) and appends those of two or more rows to `out`.
+    /// Singletons are dropped: they are fully separated and never
+    /// participate in further refinement. Runs in `O(|group|)` and
+    /// allocates only when `out` grows.
     pub fn split(
         &mut self,
         idx: &PartitionIndex,
         attr: AttrId,
         group: &[u32],
-        keep_singletons: bool,
-    ) -> Vec<Vec<u32>> {
+        out: &mut FlatGroups,
+    ) {
         self.occupied.clear();
         let table = &idx.table[attr.index()];
-        // Pass 1: counts.
         for &r in group {
             let p = table[r as usize] as usize;
             if self.counts[p] == 0 {
@@ -159,26 +204,81 @@ impl Refiner {
             }
             self.counts[p] += 1;
         }
-        // Pass 2: gather rows per occupied partition. The counts array
-        // is reused to map partition id → output slot (stored as
-        // slot + 1 so 0 still means "unseen"), then reset.
-        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.occupied.len());
-        for (slot, &p) in self.occupied.iter().enumerate() {
-            out.push(Vec::with_capacity(self.counts[p as usize] as usize));
-            self.counts[p as usize] = slot as u32 + 1;
+        // Turn each count of two or more into a write cursor into the
+        // output (stored as offset + 1 so 0 means "singleton, skip").
+        let base = out.rows.len();
+        let mut kept = 0u32;
+        for &p in &self.occupied {
+            let count = self.counts[p as usize];
+            if count > 1 {
+                self.counts[p as usize] = kept + 1;
+                kept += count;
+                out.ends.push(base + kept as usize);
+            } else {
+                self.counts[p as usize] = 0;
+            }
         }
+        out.rows.resize(base + kept as usize, 0);
         for &r in group {
             let p = table[r as usize] as usize;
-            let slot = (self.counts[p] - 1) as usize;
-            out[slot].push(r);
+            let cursor = self.counts[p];
+            if cursor != 0 {
+                out.rows[base + cursor as usize - 1] = r;
+                self.counts[p] = cursor + 1;
+            }
         }
         for &p in &self.occupied {
             self.counts[p as usize] = 0;
         }
-        if !keep_singletons {
-            out.retain(|g| g.len() > 1);
+    }
+}
+
+/// Groups of row ids stored flat: the rows of every group back to back
+/// plus each group's end offset, so a whole partition is two
+/// allocations rather than one per group. [`Refiner::split`] appends to
+/// it.
+#[derive(Clone, Debug, Default)]
+pub struct FlatGroups {
+    rows: Vec<u32>,
+    /// `ends[g]` = one past the last row of group `g` in `rows`.
+    ends: Vec<usize>,
+}
+
+impl FlatGroups {
+    /// One group holding every row `0..n`.
+    pub fn whole(n: usize) -> Self {
+        FlatGroups {
+            rows: (0..n as u32).collect(),
+            ends: vec![n],
         }
-        out
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff there are no groups.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The groups with indices in `range`, in order, as row-id slices.
+    pub fn groups(&self, range: Range<usize>) -> impl Iterator<Item = &[u32]> {
+        let mut start = match range.start {
+            0 => 0,
+            g => self.ends[g - 1],
+        };
+        self.ends[range].iter().map(move |&end| {
+            let group = &self.rows[start..end];
+            start = end;
+            group
+        })
+    }
+
+    /// Every group, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.groups(0..self.len())
     }
 }
 
@@ -311,33 +411,46 @@ mod tests {
         assert_eq!(sizes, vec![6]);
     }
 
+    fn sorted_groups(groups: &FlatGroups) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = groups
+            .iter()
+            .map(|g| {
+                let mut g = g.to_vec();
+                g.sort_unstable();
+                g
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
     #[test]
     fn split_materialises_groups() {
         let ds = fixture();
         let idx = PartitionIndex::build(&ds);
         let mut refiner = Refiner::new(&idx);
-        let all: Vec<u32> = (0..6).collect();
-        let groups = refiner.split(&idx, AttrId::new(0), &all, true);
-        let mut as_sets: Vec<Vec<u32>> = groups;
-        as_sets.iter_mut().for_each(|g| g.sort_unstable());
-        as_sets.sort();
-        assert_eq!(as_sets, vec![vec![0, 1, 2], vec![3, 4, 5]]);
+        let mut groups = FlatGroups::default();
+        refiner.split(
+            &idx,
+            AttrId::new(0),
+            &(0..6).collect::<Vec<_>>(),
+            &mut groups,
+        );
+        assert_eq!(sorted_groups(&groups), vec![vec![0, 1, 2], vec![3, 4, 5]]);
     }
 
     #[test]
-    fn split_drops_singletons_when_asked() {
+    fn split_drops_singletons() {
         let ds = fixture();
         let idx = PartitionIndex::build(&ds);
         let mut refiner = Refiner::new(&idx);
         // Group {1,2,3}: attribute b has values [0,1,1] → groups {1},{2,3}.
-        let groups = refiner.split(&idx, AttrId::new(1), &[1, 2, 3], false);
-        assert_eq!(groups.len(), 1);
-        let mut g = groups[0].clone();
-        g.sort_unstable();
-        assert_eq!(g, vec![2, 3]);
-        // With singletons kept: two groups.
-        let groups = refiner.split(&idx, AttrId::new(1), &[1, 2, 3], true);
-        assert_eq!(groups.len(), 2);
+        let mut groups = FlatGroups::default();
+        refiner.split(&idx, AttrId::new(1), &[1, 2, 3], &mut groups);
+        assert_eq!(sorted_groups(&groups), vec![vec![2, 3]]);
+        // Constant attribute c splits nothing off.
+        refiner.split(&idx, AttrId::new(2), &[4, 5], &mut groups);
+        assert_eq!(sorted_groups(&groups), vec![vec![2, 3], vec![4, 5]]);
     }
 
     #[test]
@@ -349,6 +462,52 @@ mod tests {
         let first = refiner.split_sizes(&idx, AttrId::new(1), &all).to_vec();
         let second = refiner.split_sizes(&idx, AttrId::new(1), &all).to_vec();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn split_appends_after_existing_groups() {
+        let ds = fixture();
+        let idx = PartitionIndex::build(&ds);
+        let mut refiner = Refiner::new(&idx);
+        let mut groups = FlatGroups::whole(6);
+        let all: Vec<u32> = groups.iter().next().unwrap().to_vec();
+        refiner.split(&idx, AttrId::new(0), &all, &mut groups);
+        refiner.split(&idx, AttrId::new(1), &all, &mut groups);
+        assert_eq!(groups.len(), 6);
+        let by_index: Vec<Vec<u32>> = groups.groups(1..3).map(<[u32]>::to_vec).collect();
+        assert_eq!(by_index, vec![vec![0, 1, 2], vec![3, 4, 5]]);
+        let by_index: Vec<Vec<u32>> = groups.groups(3..6).map(<[u32]>::to_vec).collect();
+        assert_eq!(by_index, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
+        assert!(FlatGroups::default().is_empty());
+    }
+
+    #[test]
+    fn separates_all_stops_at_collisions() {
+        let ds = fixture();
+        let idx = PartitionIndex::build(&ds);
+        let mut refiner = Refiner::new(&idx);
+        let b = AttrId::new(1);
+        assert!(refiner.separates_all(&idx, b, &[0, 2, 4]));
+        assert!(!refiner.separates_all(&idx, b, &[1, 2, 3]));
+        assert!(refiner.separates_all(&idx, b, &[]));
+        assert!(refiner.separates_all(&idx, b, &[0, 2, 4]));
+    }
+
+    #[test]
+    fn separates_all_survives_the_stamp_wrap() {
+        let ds = fixture();
+        let idx = PartitionIndex::build(&ds);
+        let mut refiner = Refiner::new(&idx);
+        let b = AttrId::new(1);
+        // Generation 1 marks b's partition 2 (row 4); generation
+        // u32::MAX marks partition 0 (row 0); partition 1 stays unmarked.
+        assert!(refiner.separates_all(&idx, b, &[4]));
+        refiner.fast_forward_generation(u32::MAX - 1);
+        assert!(refiner.separates_all(&idx, b, &[0]));
+        // The next call wraps. Reusing stamp 1 without clearing would see
+        // row 4's stale mark; stamp 0 would match the unmarked slot.
+        assert!(refiner.separates_all(&idx, b, &[4, 2]));
+        assert!(!refiner.separates_all(&idx, b, &[4, 5]));
     }
 
     #[test]

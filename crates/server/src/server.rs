@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use qid_core::minkey::{enumerate_minimal_keys, GreedyRefineMinKey, LatticeConfig};
-use qid_core::separation::group_sizes;
+use qid_dataset::Dataset;
 
 use crate::fastpath::Scratch;
 use crate::metrics::Metrics;
@@ -23,6 +23,11 @@ use crate::WorkerPool;
 
 /// Caps `audit`'s lattice search, matching the CLI's limit.
 const MAX_LATTICE_CANDIDATES: usize = 500_000;
+
+/// Descriptors the process's fd table is grown to at bind (fewer when
+/// the descriptor limit is lower), so no request or accept pays the
+/// kernel's table growth later (see [`polling::reserve_fd_table`]).
+const FD_TABLE_RESERVE: usize = 1 << 16;
 
 /// Default request-line byte cap (`--max-line-bytes`): generous enough
 /// for large `batch` lines, small enough that a hostile client cannot
@@ -227,6 +232,9 @@ impl Server {
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        // Best effort: without it the server still works, and pays the
+        // growth stall on whichever request first crosses a table size.
+        let _ = polling::reserve_fd_table(&listener, FD_TABLE_RESERVE);
         let metrics_listener = match &config.metrics_addr {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
@@ -833,34 +841,11 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
             },
             (Err(message), _) => Response::Error { message },
         },
-        Request::Audit { ds, max_key_size } => with_entry(state, ds, cache, |entry| {
-            let sample = entry.filter.sample();
-            let keys = enumerate_minimal_keys(
-                sample,
-                LatticeConfig {
-                    max_size: *max_key_size,
-                    max_candidates: MAX_LATTICE_CANDIDATES,
-                },
-            );
-            let keys = keys
-                .into_iter()
-                .map(|key| {
-                    let sizes = group_sizes(sample, &key);
-                    let unique = sizes.iter().filter(|&&s| s == 1).count();
-                    let frac = if sample.n_rows() == 0 {
-                        0.0
-                    } else {
-                        unique as f64 / sample.n_rows() as f64
-                    };
-                    let names = key
-                        .iter()
-                        .map(|&a| sample.schema().attr(a).name().to_string())
-                        .collect();
-                    (names, frac)
-                })
-                .collect();
-            Response::Audit { keys }
-        }),
+        Request::Audit { ds, max_key_size } => {
+            with_entry(state, ds, cache, |entry| Response::Audit {
+                keys: audit_keys(entry.filter.sample(), *max_key_size),
+            })
+        }
         Request::Key { ds } => with_entry(state, ds, cache, |entry| {
             let sample = entry.filter.sample();
             let result = GreedyRefineMinKey::run_on_sample(sample);
@@ -1023,6 +1008,31 @@ fn stats_response(entry: &Entry) -> Response {
     }
 }
 
+/// `audit`'s keys: the minimal keys of `sample` with at most
+/// `max_key_size` attributes, by name, each with the fraction of sampled
+/// rows it identifies uniquely. A key separates every sampled pair, so
+/// that fraction is 1 on any non-empty sample (an empty sample's only
+/// key is the empty set, at 0) — no grouping pass needed.
+fn audit_keys(sample: &Dataset, max_key_size: usize) -> Vec<(Vec<String>, f64)> {
+    let keys = enumerate_minimal_keys(
+        sample,
+        LatticeConfig {
+            max_size: max_key_size,
+            max_candidates: MAX_LATTICE_CANDIDATES,
+        },
+    );
+    let frac = if sample.n_rows() == 0 { 0.0 } else { 1.0 };
+    keys.into_iter()
+        .map(|key| {
+            let names = key
+                .iter()
+                .map(|&a| sample.schema().attr(a).name().to_string())
+                .collect();
+            (names, frac)
+        })
+        .collect()
+}
+
 /// Runs `f` on the cached entry, resolving through the batch-scoped
 /// cache (stream-mode load on a miss).
 fn with_entry(
@@ -1034,5 +1044,80 @@ fn with_entry(
     match cache.sample_entry(state, ds) {
         Ok(entry) => f(&entry),
         Err(message) => Response::Error { message },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qid_core::filter::{FilterParams, TupleSampleFilter};
+    use qid_core::separation::group_sizes;
+    use qid_dataset::generator::covtype_like_scaled;
+    use qid_dataset::{DatasetBuilder, Value};
+
+    /// The reply as it was computed before the fraction was derived:
+    /// one `group_sizes` pass per key, counting singleton classes.
+    fn grouped_reply(sample: &Dataset, max_key_size: usize) -> Response {
+        let keys = enumerate_minimal_keys(
+            sample,
+            LatticeConfig {
+                max_size: max_key_size,
+                max_candidates: MAX_LATTICE_CANDIDATES,
+            },
+        );
+        let keys = keys
+            .into_iter()
+            .map(|key| {
+                let sizes = group_sizes(sample, &key);
+                let unique = sizes.iter().filter(|&&s| s == 1).count();
+                let frac = if sample.n_rows() == 0 {
+                    0.0
+                } else {
+                    unique as f64 / sample.n_rows() as f64
+                };
+                let names = key
+                    .iter()
+                    .map(|&a| sample.schema().attr(a).name().to_string())
+                    .collect();
+                (names, frac)
+            })
+            .collect();
+        Response::Audit { keys }
+    }
+
+    fn table(rows: &[[i64; 3]]) -> Dataset {
+        let mut b = DatasetBuilder::new(["zip", "age", "sex"]);
+        for row in rows {
+            b.push_row(row.map(Value::Int)).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn audit_reply_matches_the_group_sizes_computation() {
+        let covtype = covtype_like_scaled(3, 2_000);
+        let sample = TupleSampleFilter::build(&covtype, FilterParams::new(0.01), 7)
+            .sample()
+            .clone();
+        let fixtures = [
+            table(&[]),
+            table(&[[1, 2, 3]]),
+            table(&[[1, 2, 3], [1, 2, 3]]),
+            table(&[[1, 30, 0], [1, 31, 1], [2, 30, 1], [2, 31, 0], [3, 30, 0]]),
+            sample,
+        ];
+        for ds in &fixtures {
+            for max_key_size in 1..=3 {
+                let reply = Response::Audit {
+                    keys: audit_keys(ds, max_key_size),
+                };
+                assert_eq!(
+                    reply.encode(),
+                    grouped_reply(ds, max_key_size).encode(),
+                    "{} rows, max key size {max_key_size}",
+                    ds.n_rows()
+                );
+            }
+        }
     }
 }

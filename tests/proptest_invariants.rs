@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use quasi_id::core::minkey::GreedyRefineMinKey;
+use quasi_id::core::minkey::{enumerate_minimal_keys, GreedyRefineMinKey, LatticeConfig};
 use quasi_id::core::separation::{group_sizes, unseparated_pairs, PartitionIndex, Refiner};
 use quasi_id::prelude::*;
 use quasi_id::sampling::{pair_count, rank_pair, unrank_pair};
@@ -36,8 +36,92 @@ fn all_subsets(m: usize) -> Vec<Vec<AttrId>> {
         .collect()
 }
 
+/// Strategy: a small data set shaped to stress key search — n from 0
+/// up (so the degenerate 0-, 1- and 2-row cases come up), up to six
+/// attributes of cardinality 1 (constant) to 5, and some rows repeated
+/// verbatim so that no attribute set is a key.
+fn lattice_dataset_strategy() -> impl Strategy<Value = Dataset> {
+    (0usize..14, 1usize..7, 0usize..3).prop_flat_map(|(rows, attrs, dups)| {
+        (
+            proptest::collection::vec(1i64..6, attrs),
+            proptest::collection::vec(proptest::collection::vec(0i64..1000, attrs), rows),
+        )
+            .prop_map(move |(cards, raw)| {
+                let names: Vec<String> = (0..attrs).map(|a| format!("a{a}")).collect();
+                let mut b = DatasetBuilder::new(names);
+                for row in raw.iter().chain(raw.iter().take(dups)) {
+                    b.push_row(row.iter().zip(&cards).map(|(v, c)| Value::Int(v % c)))
+                        .unwrap();
+                }
+                b.finish()
+            })
+    })
+}
+
+/// Brute force: every attribute set of at most `max_size` attributes
+/// (the empty set included) that separates all pairs and has no key as
+/// a proper subset, in ascending size then lexicographic order.
+fn minimal_keys_oracle(ds: &Dataset, max_size: usize) -> Vec<Vec<AttrId>> {
+    let keys: Vec<Vec<AttrId>> = all_subsets(ds.n_attrs())
+        .into_iter()
+        .filter(|s| s.len() <= max_size && unseparated_pairs(ds, s) == 0)
+        .collect();
+    let mut minimal: Vec<Vec<AttrId>> = keys
+        .iter()
+        .filter(|k| {
+            !keys
+                .iter()
+                .any(|sub| sub.len() < k.len() && sub.iter().all(|a| k.contains(a)))
+        })
+        .cloned()
+        .collect();
+    minimal.sort_by(|a, b| (a.len(), a.as_slice()).cmp(&(b.len(), b.as_slice())));
+    minimal
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The stripped-partition lattice finds exactly the brute-force
+    /// minimal keys, in the documented order.
+    #[test]
+    fn lattice_equals_brute_force_oracle(ds in lattice_dataset_strategy(), max_size in 1usize..5) {
+        let cfg = LatticeConfig { max_size, ..LatticeConfig::default() };
+        prop_assert_eq!(enumerate_minimal_keys(&ds, cfg), minimal_keys_oracle(&ds, max_size));
+    }
+
+    /// `Refiner::separates_all` agrees with the sort-based oracle on
+    /// random groups of rows: over many calls on one refiner (its
+    /// scratch is never reset between them), and on the call that wraps
+    /// the stamp, right after a call that left generation-1 marks.
+    #[test]
+    fn separates_all_matches_group_sizes(
+        ds in lattice_dataset_strategy(),
+        masks in proptest::collection::vec(0u32..(1 << 16), 4),
+    ) {
+        let idx = PartitionIndex::build(&ds);
+        let groups: Vec<Vec<u32>> = masks
+            .iter()
+            .map(|&mask| (0..ds.n_rows() as u32).filter(|&r| mask & (1 << r) != 0).collect())
+            .collect();
+        let expected = |group: &[u32], attr: AttrId| {
+            let rows: Vec<usize> = group.iter().map(|&r| r as usize).collect();
+            group_sizes(&ds.gather(&rows), &[attr]).iter().all(|&c| c == 1)
+        };
+        let mut refiner = Refiner::new(&idx);
+        for a in 0..ds.n_attrs() {
+            let attr = AttrId::new(a);
+            for group in &groups {
+                prop_assert_eq!(refiner.separates_all(&idx, attr, group), expected(group, attr));
+            }
+            for pair in groups.windows(2) {
+                let mut wrapping = Refiner::new(&idx);
+                prop_assert_eq!(wrapping.separates_all(&idx, attr, &pair[0]), expected(&pair[0], attr));
+                wrapping.fast_forward_generation(u32::MAX);
+                prop_assert_eq!(wrapping.separates_all(&idx, attr, &pair[1]), expected(&pair[1], attr));
+            }
+        }
+    }
 
     /// Γ is monotone non-increasing under attribute-set inclusion.
     #[test]
