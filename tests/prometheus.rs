@@ -230,6 +230,38 @@ fn fixture_csv(name: &str) -> String {
     path.to_str().unwrap().to_string()
 }
 
+/// The exposition's family headers are pinned: every `# HELP` and
+/// `# TYPE` line of a scrape, sorted, must equal
+/// `tests/golden/prometheus_families.txt`. A renamed family, a changed
+/// kind or reworded help text breaks dashboards and alert rules, so
+/// such a change must edit the golden file on purpose. Family order is
+/// free; only the set of header lines is compared.
+#[test]
+fn family_headers_match_the_golden_file() {
+    let server = bind_with_metrics();
+    let (status, body) = scrape(&server, "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK", "scrape status");
+    let mut headers: Vec<&str> = body
+        .lines()
+        .filter(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE "))
+        .collect();
+    headers.sort_unstable();
+    let golden: Vec<&str> = include_str!("golden/prometheus_families.txt")
+        .lines()
+        .collect();
+    assert_eq!(
+        headers,
+        golden,
+        "scraped headers differ from the golden file; scraped:\n{}",
+        headers.join("\n")
+    );
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let bye = client.call(&Request::Shutdown).expect("shutdown");
+    assert!(matches!(bye, Response::ShuttingDown), "{bye:?}");
+    server.join().expect("clean drain");
+}
+
 #[test]
 fn scrape_is_lint_clean_and_consistent_with_json_metrics() {
     let server = bind_with_metrics();
