@@ -551,7 +551,11 @@ pub fn run_server_bench(cfg: ServerBenchConfig) -> ServerBenchResult {
         assert!(hit, "the appending lookup must absorb, not rebuild");
         assert_eq!(absorbed.rows, base_rows + suffix_rows);
         assert_eq!(reg.append_updates(), 1, "exactly one append absorbed");
-        assert_eq!(reg.snapshot().stale_rebuilds, 0, "no full rebuild");
+        assert_eq!(
+            reg.counter(qid_server::metrics::Lifecycle::StaleRebuilds),
+            0,
+            "no full rebuild"
+        );
 
         let cold = Registry::new();
         let t = Instant::now();

@@ -1,5 +1,8 @@
-//! Lock-free server counters: per-command traffic, latency sums, and
-//! fixed-size log₂ latency histograms for server-side p50/p99.
+//! Lock-free server counters: per-command traffic, latency sums,
+//! fixed-size log₂ latency histograms for server-side p50/p99, and
+//! [`COUNTERS`], the one table that names every scalar of the
+//! `metrics` reply for the JSON codec, Prometheus, the WAL and the CLI
+//! (see "Counters" in `docs/ARCHITECTURE.md`).
 //!
 //! # Bucket scheme
 //!
@@ -28,6 +31,7 @@
 //! spike from last week. Counts, error counts and latency *sums*
 //! remain cumulative since process start.
 
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -88,12 +92,6 @@ impl LatencyHistogram {
         (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
     }
 
-    /// Upper edge (inclusive, in µs) of bucket `i` — what quantiles
-    /// report.
-    fn bucket_upper_us(i: usize) -> u64 {
-        bucket_upper_us(i)
-    }
-
     /// Records one observation into the current epoch and the
     /// cumulative copy.
     pub fn record(&self, us: u64) {
@@ -126,12 +124,9 @@ impl LatencyHistogram {
     /// window), as the upper edge of its bucket; 0 when the window is
     /// empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = (0..LATENCY_BUCKETS)
-            .map(|i| {
-                self.epochs[0][i].load(Ordering::Relaxed)
-                    + self.epochs[1][i].load(Ordering::Relaxed)
-            })
-            .collect();
+        let counts: [u64; LATENCY_BUCKETS] = std::array::from_fn(|i| {
+            self.epochs[0][i].load(Ordering::Relaxed) + self.epochs[1][i].load(Ordering::Relaxed)
+        });
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -141,12 +136,331 @@ impl LatencyHistogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::bucket_upper_us(i);
+                return bucket_upper_us(i);
             }
         }
-        Self::bucket_upper_us(LATENCY_BUCKETS - 1)
+        bucket_upper_us(LATENCY_BUCKETS - 1)
     }
 }
+
+/// The registry's lifecycle counters. A variant indexes the registry's
+/// atomics, a [`CounterSet`], and its own row of [`COUNTERS`] (the
+/// table's first rows, in this order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lifecycle {
+    /// [`MetricsReport::cache_hits`].
+    Hits,
+    /// [`MetricsReport::cache_misses`].
+    Misses,
+    /// [`MetricsReport::cache_disk_hits`].
+    DiskHits,
+    /// [`MetricsReport::cache_evictions`].
+    Evictions,
+    /// [`MetricsReport::cache_stale_rebuilds`].
+    StaleRebuilds,
+    /// [`MetricsReport::cache_upgrades`].
+    Upgrades,
+    /// [`MetricsReport::cache_append_updates`].
+    AppendUpdates,
+    /// [`MetricsReport::cache_sweep_refreshes`].
+    SweepRefreshes,
+}
+
+/// How many [`Lifecycle`] counters there are.
+pub const LIFECYCLE_COUNTERS: usize = 8;
+
+impl Lifecycle {
+    /// Every lifecycle counter, in table order.
+    pub const ALL: [Lifecycle; LIFECYCLE_COUNTERS] = [
+        Lifecycle::Hits,
+        Lifecycle::Misses,
+        Lifecycle::DiskHits,
+        Lifecycle::Evictions,
+        Lifecycle::StaleRebuilds,
+        Lifecycle::Upgrades,
+        Lifecycle::AppendUpdates,
+        Lifecycle::SweepRefreshes,
+    ];
+
+    /// This counter's row of [`COUNTERS`].
+    pub fn row(self) -> &'static Counter {
+        &COUNTERS[self as usize]
+    }
+
+    /// The counter's name in the WAL files (`disk_hits`), which the CLI
+    /// prints with spaces for underscores.
+    pub fn name(self) -> &'static str {
+        match self.row().wal {
+            Persist::Journaled(name) | Persist::Checkpointed(name) => name,
+            Persist::Never => "",
+        }
+    }
+}
+
+/// The lifecycle counters as plain values, indexed by [`Lifecycle`]:
+/// the unit of counter durability. Every counter is monotone over the
+/// server's whole life *across restarts*, which is what lets recovery
+/// take the elementwise max of independent durable sources.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CounterSet(pub [u64; LIFECYCLE_COUNTERS]);
+
+impl Index<Lifecycle> for CounterSet {
+    type Output = u64;
+    fn index(&self, c: Lifecycle) -> &u64 {
+        &self.0[c as usize]
+    }
+}
+
+impl IndexMut<Lifecycle> for CounterSet {
+    fn index_mut(&mut self, c: Lifecycle) -> &mut u64 {
+        &mut self.0[c as usize]
+    }
+}
+
+/// The registry's live lifecycle counters, shared between the registry
+/// and the WAL flusher (which checkpoints them without holding the
+/// registry). An increment is one relaxed `fetch_add` on
+/// `counters[Lifecycle::…]`.
+#[derive(Debug, Default)]
+pub(crate) struct LifecycleCounters([AtomicU64; LIFECYCLE_COUNTERS]);
+
+impl Index<Lifecycle> for LifecycleCounters {
+    type Output = AtomicU64;
+    fn index(&self, c: Lifecycle) -> &AtomicU64 {
+        &self.0[c as usize]
+    }
+}
+
+impl LifecycleCounters {
+    /// A point-in-time copy of every counter.
+    pub fn values(&self) -> CounterSet {
+        CounterSet(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+
+    /// Seeds the atomics from recovered values (startup only, before
+    /// any traffic).
+    pub fn seed(&self, values: &CounterSet) {
+        for (counter, &v) in self.0.iter().zip(&values.0) {
+            counter.store(v, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A Prometheus family exported as one unlabelled sample.
+#[derive(Clone, Copy, Debug)]
+pub struct Family {
+    /// The metric name.
+    pub name: &'static str,
+    /// The `# TYPE` kind: `counter` or `gauge`.
+    pub kind: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+}
+
+const fn counter(name: &'static str, help: &'static str) -> Option<Family> {
+    Some(Family {
+        name,
+        kind: "counter",
+        help,
+    })
+}
+
+const fn gauge(name: &'static str, help: &'static str) -> Option<Family> {
+    Some(Family {
+        name,
+        kind: "gauge",
+        help,
+    })
+}
+
+/// Where [`Metrics::report`] reads a row's live value.
+#[derive(Clone, Copy, Debug)]
+pub enum Source {
+    /// A registry lifecycle counter.
+    Lifecycle(Lifecycle),
+    /// A server counter held in [`Metrics`].
+    Server(fn(&Metrics) -> &AtomicU64),
+    /// A gauge or per-life value `report` takes from the registry
+    /// snapshot or the uptime clock.
+    State,
+}
+
+/// One row of [`COUNTERS`].
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The key in the `metrics` reply, and the [`MetricsReport`] field.
+    pub json: &'static str,
+    /// Reads the field.
+    pub get: fn(&MetricsReport) -> u64,
+    /// Writes the field.
+    pub set: fn(&mut MetricsReport, u64),
+    /// Where the live value comes from.
+    pub source: Source,
+    /// The Prometheus family, or `None` when the value is exported
+    /// only inside a labelled family (or not at all).
+    pub prom: Option<Family>,
+    /// How the WAL persists the value.
+    pub wal: Persist,
+}
+
+/// How the WAL persists a row. A persisted value is written under its
+/// name to `registry.counters`, the snapshot's `counters` object and
+/// the shutdown record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Persist {
+    /// Not persisted.
+    Never,
+    /// Persisted, and re-derived at replay by counting journaled
+    /// events.
+    Journaled(&'static str),
+    /// Persisted only: no event journals it, so a crash loses its
+    /// movement since the last checkpoint.
+    Checkpointed(&'static str),
+}
+
+/// Every scalar of the `metrics` reply, in wire order. The reply puts
+/// its one list, `poller_connections`, before row
+/// [`POLLER_CONNECTIONS_AT`].
+#[rustfmt::skip]
+pub const COUNTERS: [Counter; 20] = [
+    Counter {
+        json: "cache_hits", get: |r| r.cache_hits, set: |r, v| r.cache_hits = v,
+        source: Source::Lifecycle(Lifecycle::Hits),
+        prom: counter("qid_cache_hits_total", "Registry lookups served from a resident entry."),
+        wal: Persist::Checkpointed("hits"),
+    },
+    Counter {
+        json: "cache_misses", get: |r| r.cache_misses, set: |r, v| r.cache_misses = v,
+        source: Source::Lifecycle(Lifecycle::Misses),
+        prom: counter("qid_cache_misses_total", "Registry lookups that built a new entry."),
+        wal: Persist::Journaled("misses"),
+    },
+    Counter {
+        json: "cache_disk_hits", get: |r| r.cache_disk_hits, set: |r, v| r.cache_disk_hits = v,
+        source: Source::Lifecycle(Lifecycle::DiskHits),
+        prom: counter("qid_cache_disk_hits_total", "Registry lookups restored from the cache dir."),
+        wal: Persist::Journaled("disk_hits"),
+    },
+    Counter {
+        json: "cache_evictions", get: |r| r.cache_evictions, set: |r, v| r.cache_evictions = v,
+        source: Source::Lifecycle(Lifecycle::Evictions),
+        prom: counter("qid_cache_evictions_total", "Entries evicted by the resident-byte budget."),
+        wal: Persist::Journaled("evictions"),
+    },
+    Counter {
+        json: "cache_stale_rebuilds", get: |r| r.cache_stale_rebuilds, set: |r, v| r.cache_stale_rebuilds = v,
+        source: Source::Lifecycle(Lifecycle::StaleRebuilds),
+        prom: counter("qid_cache_stale_rebuilds_total", "Entries rebuilt after their source file changed."),
+        wal: Persist::Journaled("stale_rebuilds"),
+    },
+    Counter {
+        json: "cache_upgrades", get: |r| r.cache_upgrades, set: |r, v| r.cache_upgrades = v,
+        source: Source::Lifecycle(Lifecycle::Upgrades),
+        prom: counter("qid_cache_upgrades_total", "Stream-mode entries upgraded to materialised datasets."),
+        wal: Persist::Checkpointed("upgrades"),
+    },
+    Counter {
+        json: "cache_append_updates", get: |r| r.cache_append_updates, set: |r, v| r.cache_append_updates = v,
+        source: Source::Lifecycle(Lifecycle::AppendUpdates),
+        prom: counter("qid_cache_append_updates_total", "Grown sources absorbed incrementally (suffix-only scans)."),
+        wal: Persist::Journaled("append_updates"),
+    },
+    Counter {
+        json: "cache_sweep_refreshes", get: |r| r.cache_sweep_refreshes, set: |r, v| r.cache_sweep_refreshes = v,
+        source: Source::Lifecycle(Lifecycle::SweepRefreshes),
+        prom: counter("qid_cache_sweep_refreshes_total", "Entries refreshed by the background revalidation sweeper."),
+        wal: Persist::Checkpointed("sweep_refreshes"),
+    },
+    Counter {
+        json: "cache_bytes", get: |r| r.cache_bytes, set: |r, v| r.cache_bytes = v,
+        source: Source::State,
+        prom: gauge("qid_cache_resident_bytes", "Approximate bytes of resident cache entries."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "datasets", get: |r| r.datasets as u64, set: |r, v| r.datasets = v as usize,
+        source: Source::State,
+        prom: gauge("qid_cache_entries", "Completed entries resident in the registry."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "connections", get: |r| r.connections, set: |r, v| r.connections = v,
+        source: Source::Server(|m| &m.connections),
+        prom: counter("qid_connections_accepted_total", "Connections accepted since start."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "rejected_oversize", get: |r| r.rejected_oversize, set: |r, v| r.rejected_oversize = v,
+        source: Source::Server(|m| &m.rejected_oversize),
+        prom: None,
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "rejected_rate", get: |r| r.rejected_rate, set: |r, v| r.rejected_rate = v,
+        source: Source::Server(|m| &m.rejected_rate),
+        prom: None,
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "rejected_busy", get: |r| r.rejected_busy, set: |r, v| r.rejected_busy = v,
+        source: Source::Server(|m| &m.rejected_busy),
+        prom: counter("qid_rejected_busy_total", "Connections turned away at accept by --max-conns admission control."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "writes_parked", get: |r| r.writes_parked, set: |r, v| r.writes_parked = v,
+        source: Source::Server(|m| &m.writes_parked),
+        prom: counter("qid_writes_parked_total", "Responses parked with their connection for a readiness-driven flush."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "bytes_read", get: |r| r.bytes_read, set: |r, v| r.bytes_read = v,
+        source: Source::Server(|m| &m.bytes_read),
+        prom: counter("qid_bytes_read_total", "Request bytes drained off client sockets."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "bytes_written", get: |r| r.bytes_written, set: |r, v| r.bytes_written = v,
+        source: Source::Server(|m| &m.bytes_written),
+        prom: counter("qid_bytes_written_total", "Response bytes flushed to client sockets."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "uptime_seconds", get: |r| r.uptime_seconds, set: |r, v| r.uptime_seconds = v,
+        source: Source::State,
+        prom: gauge("qid_uptime_seconds", "Seconds since the server started."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "restarts", get: |r| r.restarts, set: |r, v| r.restarts = v,
+        source: Source::State,
+        prom: counter("qid_restarts_total", "Prior lives of this server's cache dir, per the registry journal."),
+        wal: Persist::Never,
+    },
+    Counter {
+        json: "wal_replayed_events", get: |r| r.wal_replayed_events, set: |r, v| r.wal_replayed_events = v,
+        source: Source::State,
+        prom: counter("qid_wal_replayed_events_total", "Registry journal records replayed at startup to warm the cache."),
+        wal: Persist::Never,
+    },
+];
+
+/// The row of [`COUNTERS`] (`bytes_read`) that the `metrics` reply's
+/// `poller_connections` list precedes.
+pub const POLLER_CONNECTIONS_AT: usize = 15;
+
+// The lifecycle rows come first, in `Lifecycle` order, and they are
+// exactly the persisted rows.
+const _: () = {
+    let mut i = 0;
+    while i < COUNTERS.len() {
+        let row = &COUNTERS[i];
+        let lifecycle = matches!(row.source, Source::Lifecycle(c) if c as usize == i);
+        assert!(lifecycle == (i < LIFECYCLE_COUNTERS));
+        assert!(lifecycle != matches!(row.wal, Persist::Never));
+        i += 1;
+    }
+};
 
 #[derive(Debug, Default)]
 struct CommandCounters {
@@ -164,26 +478,20 @@ pub struct Metrics {
     per_command: [CommandCounters; COMMAND_NAMES.len()],
     /// Lines that failed to parse as any request.
     pub protocol_errors: AtomicU64,
-    /// Connections accepted.
+    /// [`MetricsReport::connections`].
     pub connections: AtomicU64,
-    /// Request lines rejected for crossing `--max-line-bytes`.
+    /// [`MetricsReport::rejected_oversize`].
     pub rejected_oversize: AtomicU64,
-    /// Request lines rejected by the per-connection `--max-rps`
-    /// token bucket.
+    /// [`MetricsReport::rejected_rate`].
     pub rejected_rate: AtomicU64,
-    /// Connections turned away at accept time by `--max-conns`
-    /// admission control (answered `too_busy`, then closed).
+    /// [`MetricsReport::rejected_busy`].
     pub rejected_busy: AtomicU64,
-    /// Responses that could not be flushed in one nonblocking write
-    /// and were parked with their connection for the owning poller to
-    /// finish — the counter the slow-reader fault test watches to
-    /// prove the readiness-driven write path engaged.
+    /// [`MetricsReport::writes_parked`]; the slow-reader fault test
+    /// watches it to prove the readiness-driven write path engaged.
     pub writes_parked: AtomicU64,
-    /// Request bytes drained off client sockets, counted at the read
-    /// syscall — the server-side cross-check for a load harness's
-    /// sent-byte accounting.
+    /// [`MetricsReport::bytes_read`], counted at the read syscall.
     pub bytes_read: AtomicU64,
-    /// Response bytes successfully written back to clients.
+    /// [`MetricsReport::bytes_written`].
     pub bytes_written: AtomicU64,
 }
 
@@ -260,37 +568,33 @@ impl Metrics {
         uptime_seconds: u64,
         poller_connections: Vec<u64>,
     ) -> MetricsReport {
-        MetricsReport {
-            uptime_seconds,
-            version: crate::obs::BUILD_VERSION.to_string(),
-            cache_hits: registry.hits,
-            cache_misses: registry.misses,
-            cache_disk_hits: registry.disk_hits,
-            cache_evictions: registry.evictions,
-            cache_stale_rebuilds: registry.stale_rebuilds,
-            cache_upgrades: registry.upgrades,
-            cache_append_updates: registry.append_updates,
-            cache_sweep_refreshes: registry.sweep_refreshes,
+        let mut report = MetricsReport {
             cache_bytes: registry.resident_bytes,
             datasets: registry.datasets,
+            uptime_seconds,
             restarts: registry.restarts,
             wal_replayed_events: registry.wal_replayed_events,
-            connections: self.connections.load(Ordering::Relaxed),
-            rejected_oversize: self.rejected_oversize.load(Ordering::Relaxed),
-            rejected_rate: self.rejected_rate.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            writes_parked: self.writes_parked.load(Ordering::Relaxed),
+            version: crate::obs::BUILD_VERSION.to_string(),
             poller_connections,
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
             commands: self.command_stats(),
+            ..MetricsReport::default()
+        };
+        for row in &COUNTERS {
+            let value = match row.source {
+                Source::Lifecycle(c) => registry.counters[c],
+                Source::Server(counter) => counter(self).load(Ordering::Relaxed),
+                Source::State => continue,
+            };
+            (row.set)(&mut report, value);
         }
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Response;
 
     #[test]
     fn records_accumulate() {
@@ -313,14 +617,7 @@ mod tests {
         let m = Metrics::new();
         let r = m.report(
             RegistrySnapshot {
-                hits: 5,
-                misses: 2,
-                disk_hits: 1,
-                evictions: 3,
-                stale_rebuilds: 4,
-                upgrades: 2,
-                append_updates: 6,
-                sweep_refreshes: 7,
+                counters: CounterSet([5, 2, 1, 3, 4, 2, 6, 7]),
                 resident_bytes: 640,
                 datasets: 1,
                 restarts: 2,
@@ -348,6 +645,85 @@ mod tests {
         assert_eq!(r.rejected_rate, 0);
         assert_eq!(r.rejected_busy, 0);
         assert_eq!(r.poller_connections, vec![3, 4]);
+    }
+
+    /// A report whose row `i` of [`COUNTERS`] holds `base + i`.
+    fn distinct_report(base: u64) -> MetricsReport {
+        let mut report = MetricsReport::default();
+        for (i, row) in COUNTERS.iter().enumerate() {
+            (row.set)(&mut report, base + i as u64);
+        }
+        report
+    }
+
+    #[test]
+    fn every_table_row_survives_every_surface() {
+        let expected = distinct_report(1_000);
+        let value = |i: usize| 1_000 + i as u64;
+        let names: std::collections::HashSet<&str> = COUNTERS.iter().map(|row| row.json).collect();
+        assert_eq!(names.len(), COUNTERS.len(), "JSON field names are unique");
+        for (i, row) in COUNTERS.iter().enumerate() {
+            assert_eq!((row.get)(&expected), value(i), "{}", row.json);
+        }
+
+        // `Metrics::report` reads every row from its source.
+        let m = Metrics::new();
+        for (i, row) in COUNTERS.iter().enumerate() {
+            if let Source::Server(counter) = row.source {
+                counter(&m).store(value(i), Ordering::Relaxed);
+            }
+        }
+        let lifecycle = CounterSet(std::array::from_fn(value));
+        let snapshot = RegistrySnapshot {
+            counters: lifecycle,
+            resident_bytes: expected.cache_bytes,
+            datasets: expected.datasets,
+            restarts: expected.restarts,
+            wal_replayed_events: expected.wal_replayed_events,
+        };
+        let report = m.report(snapshot, expected.uptime_seconds, vec![]);
+        for (i, row) in COUNTERS.iter().enumerate() {
+            assert_eq!((row.get)(&report), value(i), "{}", row.json);
+        }
+
+        // The `metrics` reply: encode and decode, including values
+        // past i64::MAX, which travel as decimal strings.
+        for base in [1_000, u64::MAX - 100] {
+            let sent = Response::Metrics(distinct_report(base));
+            assert_eq!(Response::decode(&sent.encode()), Ok(sent));
+        }
+
+        // Prometheus: one sample and one `# TYPE` line per family.
+        let mut text = String::new();
+        crate::obs::table_families(&mut text, &expected);
+        for (i, row) in COUNTERS.iter().enumerate() {
+            if let Some(Family { name, kind, .. }) = row.prom {
+                let sample = format!("{name} {}", value(i));
+                assert!(text.lines().any(|l| l == sample), "{sample:?} missing");
+                assert!(text.contains(&format!("# TYPE {name} {kind}\n")));
+            }
+        }
+
+        // The WAL checkpoint line, then recovery from the journal's
+        // shutdown record and from the checkpoint alone.
+        let dir = std::env::temp_dir().join(format!("qid-counter-table-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = std::sync::Arc::new(
+            crate::wal::Wal::open(&dir, crate::wal::DEFAULT_WAL_MAX_BYTES).expect("wal open"),
+        );
+        let live = std::sync::Arc::new(LifecycleCounters::default());
+        live.seed(&lifecycle);
+        wal.arm(std::sync::Arc::clone(&live));
+        let checkpoint = std::fs::read_to_string(dir.join(crate::wal::COUNTERS_FILE)).unwrap();
+        for c in Lifecycle::ALL {
+            let pair = format!("\"{}\":{}", c.name(), lifecycle[c]);
+            assert!(checkpoint.contains(&pair), "{pair} not in {checkpoint}");
+        }
+        wal.close(&live);
+        assert_eq!(crate::wal::inspect(&dir).counters, lifecycle);
+        std::fs::remove_file(dir.join(crate::wal::WAL_FILE)).unwrap();
+        assert_eq!(crate::wal::inspect(&dir).counters, lifecycle);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::metrics::{COMMAND_NAMES, LATENCY_BUCKETS};
-use crate::proto::TraceSpan;
+use crate::metrics::{Family, COMMAND_NAMES, COUNTERS, LATENCY_BUCKETS};
+use crate::proto::{MetricsReport, TraceSpan};
 use crate::registry::RegistryEvent;
 use crate::server::ServerState;
 
@@ -599,7 +599,8 @@ pub(crate) fn log_rejection(kind: &str) {
 // ------------------------------------------------------- Prometheus
 
 /// Renders the full Prometheus text-format (0.0.4) payload for
-/// `GET /metrics`: every JSON-metrics counter, the log₂ latency
+/// `GET /metrics`: the `metrics` reply's scalars (read from the same
+/// report, one family per [`COUNTERS`] row that names one), the log₂ latency
 /// histograms as native `_bucket`/`_sum`/`_count` families
 /// (cumulative since process start, per Prometheus semantics — the
 /// JSON report's p50/p99 use the sliding window instead), and the
@@ -608,22 +609,49 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
     use std::fmt::Write as _;
 
     let mut out = String::with_capacity(16 * 1024);
-    let registry = state.registry.snapshot();
     let metrics = &state.metrics;
     let obs = state.obs();
+    let report = metrics.report(
+        state.registry.snapshot(),
+        obs.uptime_seconds(),
+        obs.shard_connections(),
+    );
+    table_families(&mut out, &report);
+    // Scrape-time scalars the `metrics` reply does not carry.
+    for (name, kind, help, value) in [
+        (
+            "qid_protocol_errors_total",
+            "counter",
+            "Lines that failed to parse as any request.",
+            metrics.protocol_errors.load(Ordering::Relaxed),
+        ),
+        (
+            "qid_worker_queue_depth",
+            "gauge",
+            "Jobs waiting in (or running from) the worker-pool queue.",
+            obs.queue_depth(),
+        ),
+        (
+            "qid_poller_registered_fds",
+            "gauge",
+            "Connections registered across all poller shards.",
+            obs.idle_fds(),
+        ),
+        (
+            "qid_trace_spans_dropped_total",
+            "counter",
+            "Trace spans lost to arena overflow or ring collisions.",
+            obs.spans_dropped(),
+        ),
+    ] {
+        write_family(&mut out, Family { name, kind, help }, value);
+    }
 
     let _ = writeln!(
         out,
         "# HELP qid_build_info Build metadata; the value is always 1.\n\
          # TYPE qid_build_info gauge\n\
          qid_build_info{{version=\"{BUILD_VERSION}\"}} 1"
-    );
-    let _ = writeln!(
-        out,
-        "# HELP qid_uptime_seconds Seconds since the server started.\n\
-         # TYPE qid_uptime_seconds gauge\n\
-         qid_uptime_seconds {}",
-        obs.uptime_seconds()
     );
 
     let _ = writeln!(
@@ -684,142 +712,6 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
         );
     }
 
-    let singles: [(&str, &str, &str, u64); 20] = [
-        (
-            "qid_protocol_errors_total",
-            "counter",
-            "Lines that failed to parse as any request.",
-            metrics.protocol_errors.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_connections_accepted_total",
-            "counter",
-            "Connections accepted since start.",
-            metrics.connections.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_bytes_read_total",
-            "counter",
-            "Request bytes drained off client sockets.",
-            metrics.bytes_read.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_bytes_written_total",
-            "counter",
-            "Response bytes flushed to client sockets.",
-            metrics.bytes_written.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_worker_queue_depth",
-            "gauge",
-            "Jobs waiting in (or running from) the worker-pool queue.",
-            obs.queue_depth(),
-        ),
-        (
-            "qid_poller_registered_fds",
-            "gauge",
-            "Connections registered across all poller shards.",
-            obs.idle_fds(),
-        ),
-        (
-            "qid_rejected_busy_total",
-            "counter",
-            "Connections turned away at accept by --max-conns admission control.",
-            metrics.rejected_busy.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_writes_parked_total",
-            "counter",
-            "Responses parked with their connection for a readiness-driven flush.",
-            metrics.writes_parked.load(Ordering::Relaxed),
-        ),
-        (
-            "qid_cache_hits_total",
-            "counter",
-            "Registry lookups served from a resident entry.",
-            registry.hits,
-        ),
-        (
-            "qid_cache_misses_total",
-            "counter",
-            "Registry lookups that built a new entry.",
-            registry.misses,
-        ),
-        (
-            "qid_cache_disk_hits_total",
-            "counter",
-            "Registry lookups restored from the cache dir.",
-            registry.disk_hits,
-        ),
-        (
-            "qid_cache_evictions_total",
-            "counter",
-            "Entries evicted by the resident-byte budget.",
-            registry.evictions,
-        ),
-        (
-            "qid_cache_stale_rebuilds_total",
-            "counter",
-            "Entries rebuilt after their source file changed.",
-            registry.stale_rebuilds,
-        ),
-        (
-            "qid_cache_upgrades_total",
-            "counter",
-            "Stream-mode entries upgraded to materialised datasets.",
-            registry.upgrades,
-        ),
-        (
-            "qid_cache_append_updates_total",
-            "counter",
-            "Grown sources absorbed incrementally (suffix-only scans).",
-            registry.append_updates,
-        ),
-        (
-            "qid_cache_sweep_refreshes_total",
-            "counter",
-            "Entries refreshed by the background revalidation sweeper.",
-            registry.sweep_refreshes,
-        ),
-        (
-            "qid_cache_resident_bytes",
-            "gauge",
-            "Approximate bytes of resident cache entries.",
-            registry.resident_bytes,
-        ),
-        (
-            "qid_restarts_total",
-            "counter",
-            "Prior lives of this server's cache dir, per the registry journal.",
-            registry.restarts,
-        ),
-        (
-            "qid_wal_replayed_events_total",
-            "counter",
-            "Registry journal records replayed at startup to warm the cache.",
-            registry.wal_replayed_events,
-        ),
-        (
-            "qid_trace_spans_dropped_total",
-            "counter",
-            "Trace spans lost to arena overflow or ring collisions.",
-            obs.spans_dropped(),
-        ),
-    ];
-    for (name, kind, help, value) in singles {
-        let _ = writeln!(
-            out,
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
-        );
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP qid_cache_entries Completed entries resident in the registry.\n\
-         # TYPE qid_cache_entries gauge\n\
-         qid_cache_entries {}",
-        registry.datasets
-    );
     let _ = writeln!(
         out,
         "# HELP qid_connections Current connections, by state.\n\
@@ -835,18 +727,38 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
          # TYPE qid_rejected_lines_total counter\n\
          qid_rejected_lines_total{{reason=\"oversize\"}} {}\n\
          qid_rejected_lines_total{{reason=\"rate_limited\"}} {}",
-        metrics.rejected_oversize.load(Ordering::Relaxed),
-        metrics.rejected_rate.load(Ordering::Relaxed)
+        report.rejected_oversize, report.rejected_rate
     );
     let _ = writeln!(
         out,
         "# HELP qid_poller_connections Connections registered with each poller shard (idle + write-parked).\n\
          # TYPE qid_poller_connections gauge"
     );
-    for (shard, conns) in obs.shard_connections().iter().enumerate() {
+    for (shard, conns) in report.poller_connections.iter().enumerate() {
         let _ = writeln!(out, "qid_poller_connections{{poller=\"{shard}\"}} {conns}");
     }
     out
+}
+
+/// Writes one unlabelled family: its `# HELP` and `# TYPE` lines and
+/// its sample.
+fn write_family(out: &mut String, family: Family, value: u64) {
+    use std::fmt::Write as _;
+    let Family { name, kind, help } = family;
+    let _ = writeln!(
+        out,
+        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
+    );
+}
+
+/// Writes the Prometheus family of every [`COUNTERS`] row that has
+/// one, valued from `report`.
+pub(crate) fn table_families(out: &mut String, report: &MetricsReport) {
+    for row in &COUNTERS {
+        if let Some(family) = row.prom {
+            write_family(out, family, (row.get)(report));
+        }
+    }
 }
 
 /// Serves `GET /metrics` on the `--metrics-addr` listener until the

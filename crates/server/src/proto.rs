@@ -18,6 +18,7 @@
 use qid_core::sketch::SketchParams;
 
 use crate::json::{self, obj, s, Json};
+use crate::metrics::{Counter, COUNTERS, POLLER_CONNECTIONS_AT};
 
 /// Default `eps` when a request omits it (matches the CLI default).
 pub const DEFAULT_EPS: f64 = 0.001;
@@ -759,37 +760,12 @@ impl Response {
                 ("kind", s("unloaded")),
                 ("existed", Json::Bool(*existed)),
             ]),
-            Response::Metrics(report) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("metrics")),
-                ("cache_hits", Json::Int(report.cache_hits as i64)),
-                ("cache_misses", Json::Int(report.cache_misses as i64)),
-                ("cache_disk_hits", Json::Int(report.cache_disk_hits as i64)),
-                ("cache_evictions", Json::Int(report.cache_evictions as i64)),
-                (
-                    "cache_stale_rebuilds",
-                    Json::Int(report.cache_stale_rebuilds as i64),
-                ),
-                ("cache_upgrades", Json::Int(report.cache_upgrades as i64)),
-                (
-                    "cache_append_updates",
-                    Json::Int(report.cache_append_updates as i64),
-                ),
-                (
-                    "cache_sweep_refreshes",
-                    Json::Int(report.cache_sweep_refreshes as i64),
-                ),
-                ("cache_bytes", Json::Int(report.cache_bytes as i64)),
-                ("datasets", Json::Int(report.datasets as i64)),
-                ("connections", Json::Int(report.connections as i64)),
-                (
-                    "rejected_oversize",
-                    Json::Int(report.rejected_oversize as i64),
-                ),
-                ("rejected_rate", Json::Int(report.rejected_rate as i64)),
-                ("rejected_busy", Json::Int(report.rejected_busy as i64)),
-                ("writes_parked", Json::Int(report.writes_parked as i64)),
-                (
+            Response::Metrics(report) => {
+                let (before, after) = COUNTERS.split_at(POLLER_CONNECTIONS_AT);
+                let scalar = |row: &Counter| (row.json, json::u64_value((row.get)(report)));
+                let mut pairs = vec![("ok", Json::Bool(true)), ("kind", s("metrics"))];
+                pairs.extend(before.iter().map(scalar));
+                pairs.push((
                     "poller_connections",
                     Json::Arr(
                         report
@@ -798,17 +774,10 @@ impl Response {
                             .map(|&n| json::u64_value(n))
                             .collect(),
                     ),
-                ),
-                ("bytes_read", Json::Int(report.bytes_read as i64)),
-                ("bytes_written", Json::Int(report.bytes_written as i64)),
-                ("uptime_seconds", Json::Int(report.uptime_seconds as i64)),
-                ("restarts", Json::Int(report.restarts as i64)),
-                (
-                    "wal_replayed_events",
-                    Json::Int(report.wal_replayed_events as i64),
-                ),
-                ("version", s(&report.version)),
-                (
+                ));
+                pairs.extend(after.iter().map(scalar));
+                pairs.push(("version", s(&report.version)));
+                pairs.push((
                     "commands",
                     Json::Arr(
                         report
@@ -817,17 +786,18 @@ impl Response {
                             .map(|c| {
                                 obj(vec![
                                     ("name", s(&c.name)),
-                                    ("count", Json::Int(c.count as i64)),
-                                    ("errors", Json::Int(c.errors as i64)),
-                                    ("latency_us", Json::Int(c.latency_us as i64)),
-                                    ("p50_us", Json::Int(c.p50_us as i64)),
-                                    ("p99_us", Json::Int(c.p99_us as i64)),
+                                    ("count", json::u64_value(c.count)),
+                                    ("errors", json::u64_value(c.errors)),
+                                    ("latency_us", json::u64_value(c.latency_us)),
+                                    ("p50_us", json::u64_value(c.p50_us)),
+                                    ("p99_us", json::u64_value(c.p99_us)),
                                 ])
                             })
                             .collect(),
                     ),
-                ),
-            ]),
+                ));
+                obj(pairs)
+            }
             Response::Trace { spans } => obj(vec![
                 ("ok", Json::Bool(true)),
                 ("kind", s("trace")),
@@ -1033,6 +1003,8 @@ impl Response {
                 existed: v.get("existed").and_then(Json::as_bool).unwrap_or(false),
             }),
             "metrics" => {
+                let u64_field =
+                    |c: &Json, name: &str| c.get(name).and_then(Json::as_u64_lossless).unwrap_or(0);
                 let commands = v
                     .get("commands")
                     .and_then(Json::as_arr)
@@ -1045,50 +1017,34 @@ impl Response {
                                 .and_then(Json::as_str)
                                 .ok_or("command stat needs a name")?
                                 .to_string(),
-                            count: c.get("count").and_then(Json::as_u64).unwrap_or(0),
-                            errors: c.get("errors").and_then(Json::as_u64).unwrap_or(0),
-                            latency_us: c.get("latency_us").and_then(Json::as_u64).unwrap_or(0),
-                            p50_us: c.get("p50_us").and_then(Json::as_u64).unwrap_or(0),
-                            p99_us: c.get("p99_us").and_then(Json::as_u64).unwrap_or(0),
+                            count: u64_field(c, "count"),
+                            errors: u64_field(c, "errors"),
+                            latency_us: u64_field(c, "latency_us"),
+                            p50_us: u64_field(c, "p50_us"),
+                            p99_us: u64_field(c, "p99_us"),
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                let u64_field = |name: &str| v.get(name).and_then(Json::as_u64).unwrap_or(0);
-                Ok(Response::Metrics(MetricsReport {
-                    cache_hits: u64_field("cache_hits"),
-                    cache_misses: u64_field("cache_misses"),
-                    cache_disk_hits: u64_field("cache_disk_hits"),
-                    cache_evictions: u64_field("cache_evictions"),
-                    cache_stale_rebuilds: u64_field("cache_stale_rebuilds"),
-                    cache_upgrades: u64_field("cache_upgrades"),
-                    cache_append_updates: u64_field("cache_append_updates"),
-                    cache_sweep_refreshes: u64_field("cache_sweep_refreshes"),
-                    cache_bytes: u64_field("cache_bytes"),
-                    datasets: v.get("datasets").and_then(Json::as_usize).unwrap_or(0),
-                    connections: u64_field("connections"),
-                    rejected_oversize: u64_field("rejected_oversize"),
-                    rejected_rate: u64_field("rejected_rate"),
-                    rejected_busy: u64_field("rejected_busy"),
-                    writes_parked: u64_field("writes_parked"),
+                let mut report = MetricsReport {
                     poller_connections: v
                         .get("poller_connections")
                         .and_then(Json::as_arr)
-                        .map(|arr| arr.iter().filter_map(Json::as_u64).collect())
+                        .map(|arr| arr.iter().filter_map(Json::as_u64_lossless).collect())
                         .unwrap_or_default(),
-                    bytes_read: u64_field("bytes_read"),
-                    bytes_written: u64_field("bytes_written"),
-                    uptime_seconds: u64_field("uptime_seconds"),
-                    // Absent on pre-WAL peers: defaults keep decode
-                    // backward compatible.
-                    restarts: u64_field("restarts"),
-                    wal_replayed_events: u64_field("wal_replayed_events"),
                     version: v
                         .get("version")
                         .and_then(Json::as_str)
                         .unwrap_or("")
                         .to_string(),
                     commands,
-                }))
+                    ..MetricsReport::default()
+                };
+                // A field a peer does not send (e.g. `restarts` from a
+                // pre-WAL server) stays 0.
+                for row in &COUNTERS {
+                    (row.set)(&mut report, u64_field(v, row.json));
+                }
+                Ok(Response::Metrics(report))
             }
             "trace" => {
                 let spans = v

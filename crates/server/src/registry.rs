@@ -95,6 +95,7 @@ use qid_dataset::csv::{read_csv_path, read_csv_str, write_csv, CsvOptions, CsvTu
 use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource, Value};
 
 use crate::json::{self, obj, s, Json};
+use crate::metrics::{CounterSet, Lifecycle, LifecycleCounters};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
 
 /// Retention parameter `k` of the per-column [`DistinctSketch`]s built
@@ -712,29 +713,9 @@ pub enum RegistryEvent {
 /// by the `metrics` command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistrySnapshot {
-    /// Lookups answered from a resident entry (including waits on a
-    /// concurrent build — the scan was still shared).
-    pub hits: u64,
-    /// Lookups that scanned the source (cold builds, stale rebuilds,
-    /// materialisation upgrades, failed builds).
-    pub misses: u64,
-    /// Lookups answered by restoring a persisted sample from
-    /// [`RegistryConfig::cache_dir`] — no source scan.
-    pub disk_hits: u64,
-    /// Entries evicted by the LRU budget.
-    pub evictions: u64,
-    /// Rebuilds forced by a source mtime/len change.
-    pub stale_rebuilds: u64,
-    /// Sample-only entries upgraded to a materialised dataset (each is
-    /// also a miss — the upgrade re-scans the source).
-    pub upgrades: u64,
-    /// Grown sources absorbed incrementally (suffix-only scans; these
-    /// are *not* stale rebuilds and not misses).
-    pub append_updates: u64,
-    /// Stale or appended entries the background sweeper refreshed
-    /// ahead of traffic (entries that merely re-stamped fresh are not
-    /// counted).
-    pub sweep_refreshes: u64,
+    /// The lifecycle counters (hits, misses, disk hits, …), indexed by
+    /// [`Lifecycle`].
+    pub counters: CounterSet,
     /// Current resident total: every entry's [`Entry::stored_bytes`]
     /// plus its built non-separation sketch, if any.
     pub resident_bytes: u64,
@@ -763,15 +744,10 @@ pub struct Registry {
     /// The cumulative lifecycle counters, in an `Arc` because the
     /// journal's flusher thread checkpoints them independently of the
     /// registry's lifetime (see [`crate::wal`]).
-    counters: Arc<crate::wal::LifecycleCounters>,
+    counters: Arc<LifecycleCounters>,
     /// The write-ahead journal, when persistence is configured and
     /// [`RegistryConfig::wal_max_bytes`] is non-zero.
     wal: Option<Arc<crate::wal::Wal>>,
-    /// Prior lives recovered from the journal (see
-    /// [`RegistrySnapshot::restarts`]).
-    restarts: u64,
-    /// Journal records replayed at startup.
-    wal_replayed_events: u64,
 }
 
 impl Default for Registry {
@@ -826,14 +802,13 @@ impl Registry {
         if let Some(dir) = &config.cache_dir {
             sweep_tmp_files(dir, crashed);
         }
-        let counters = Arc::new(crate::wal::LifecycleCounters::default());
-        let (restarts, wal_replayed_events, resident) = match &wal {
+        let counters = Arc::new(LifecycleCounters::default());
+        let resident = match &wal {
             Some(w) => {
-                let r = w.recovery();
-                counters.seed(&r.counters);
-                (r.restarts, r.replayed_events, r.resident.clone())
+                counters.seed(&w.recovery().counters);
+                w.recovery().resident.clone()
             }
-            None => (0, 0, Vec::new()),
+            None => Vec::new(),
         };
         let n = config.shards.max(1);
         let registry = Registry {
@@ -844,8 +819,6 @@ impl Registry {
             resident_bytes: AtomicU64::new(0),
             counters: Arc::clone(&counters),
             wal: wal.clone(),
-            restarts,
-            wal_replayed_events,
         };
         // Arm before re-admitting so the restores of this life are
         // journaled like any other.
@@ -897,7 +870,7 @@ impl Registry {
             let slot: Slot = Arc::new(SlotInner::default());
             self.touch(&slot);
             let _ = slot.cell.set(Ok(Arc::clone(&entry)));
-            self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters[Lifecycle::DiskHits].fetch_add(1, Ordering::Relaxed);
             self.resident_bytes
                 .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
             // try_restore proved the current source stamp matches the
@@ -1010,7 +983,7 @@ impl Registry {
             _ => return None,
         };
         self.touch(&slot);
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
         Some(entry)
     }
 
@@ -1064,13 +1037,13 @@ impl Registry {
                             _ => return self.rebuild(&key, ds, mode, &slot, allow_restore),
                         }
                     }
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
                     (done.clone(), true)
                 }
                 None => {
                     // A build is in flight; wait on it. The scan is
                     // shared, so this still counts as a hit.
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
                     let result = self.run_build(&key, ds, mode, &slot, allow_restore);
                     (result, true)
                 }
@@ -1093,7 +1066,7 @@ impl Registry {
             if !we_inserted {
                 // Same as the in-flight case above: someone else owns
                 // the build; waiting on it shares the scan.
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
                 return (self.run_build(&key, ds, mode, &slot, allow_restore), true);
             }
             (self.run_build(&key, ds, mode, &slot, allow_restore), false)
@@ -1128,12 +1101,12 @@ impl Registry {
                             .is_some_and(|r| !r.as_ref().is_ok_and(|e| e.dataset.is_some()))
                     });
                     if we_swapped {
-                        self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
+                        self.counters[Lifecycle::Upgrades].fetch_add(1, Ordering::Relaxed);
                     }
                     if we_swapped && hit {
                         // Reclassify: the cached entry was unusable
                         // and we are the one paying the re-scan.
-                        self.counters.hits.fetch_sub(1, Ordering::Relaxed);
+                        self.counters[Lifecycle::Hits].fetch_sub(1, Ordering::Relaxed);
                     }
                     // An upgrade must materialise, which the disk tier
                     // cannot do — force a source scan.
@@ -1180,7 +1153,7 @@ impl Registry {
                 let params = sketch_params();
                 if entry.dataset.is_none() {
                     if let Some(sk) = self.try_restore_sketch(&key, entry, params) {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters[Lifecycle::DiskHits].fetch_add(1, Ordering::Relaxed);
                         return Ok(self.admit_sketch(entry, sk, &key, false, params));
                     }
                 }
@@ -1191,7 +1164,7 @@ impl Registry {
                             .map_err(|e: DatasetError| e.to_string())?
                     }
                     None => {
-                        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                        self.counters[Lifecycle::Misses].fetch_add(1, Ordering::Relaxed);
                         let mut src = CsvTupleSource::open(&key.path, &CsvOptions::default())
                             .map_err(|e| format!("reading {}: {e}", key.path))?;
                         // Driven through a PairIngest (rather than
@@ -1376,58 +1349,33 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Lookups answered from cache so far.
-    pub fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to scan the source so far.
-    pub fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
+    /// The lifecycle counter `c` so far.
+    pub fn counter(&self, c: Lifecycle) -> u64 {
+        self.counters[c].load(Ordering::Relaxed)
     }
 
     /// Lookups answered by restoring a persisted sample so far.
     pub fn disk_hits(&self) -> u64 {
-        self.counters.disk_hits.load(Ordering::Relaxed)
+        self.counter(Lifecycle::DiskHits)
     }
 
     /// Grown sources absorbed incrementally so far.
     pub fn append_updates(&self) -> u64 {
-        self.counters.append_updates.load(Ordering::Relaxed)
-    }
-
-    /// Entries the background sweeper refreshed so far.
-    pub fn sweep_refreshes(&self) -> u64 {
-        self.counters.sweep_refreshes.load(Ordering::Relaxed)
+        self.counter(Lifecycle::AppendUpdates)
     }
 
     /// All lifecycle counters at once, for the `metrics` command.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            stale_rebuilds: self.counters.stale_rebuilds.load(Ordering::Relaxed),
-            upgrades: self.counters.upgrades.load(Ordering::Relaxed),
-            append_updates: self.counters.append_updates.load(Ordering::Relaxed),
-            sweep_refreshes: self.counters.sweep_refreshes.load(Ordering::Relaxed),
+            counters: self.counters.values(),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             datasets: self.len(),
-            restarts: self.restarts,
-            wal_replayed_events: self.wal_replayed_events,
+            restarts: self.wal.as_ref().map_or(0, |w| w.recovery().restarts),
+            wal_replayed_events: self
+                .wal
+                .as_ref()
+                .map_or(0, |w| w.recovery().replayed_events),
         }
-    }
-
-    /// Prior lives of this registry's cache dir, per the journal. `0`
-    /// on a first boot or with the journal disabled.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Journal records replayed at startup (see [`crate::wal`]).
-    pub fn wal_replayed_events(&self) -> u64 {
-        self.wal_replayed_events
     }
 
     /// Test hook: tears the journal down the way a kill -9 would — no
@@ -1498,9 +1446,7 @@ impl Registry {
             }
         }
         if refreshed > 0 {
-            self.counters
-                .sweep_refreshes
-                .fetch_add(refreshed, Ordering::Relaxed);
+            self.counters[Lifecycle::SweepRefreshes].fetch_add(refreshed, Ordering::Relaxed);
         }
         refreshed
     }
@@ -1567,10 +1513,10 @@ impl Registry {
         if we_swapped {
             // Exactly one observer per rebuild reaches here, so the
             // counter matches actual rebuilds even under racing hits.
-            self.counters.stale_rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.counters[Lifecycle::StaleRebuilds].fetch_add(1, Ordering::Relaxed);
             self.emit(RegistryEvent::StaleRebuild { key: key.fnv64() });
         } else if count_adopt_hit {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
         }
         (
             self.run_build(key, ds, mode, &slot, allow_restore),
@@ -1615,7 +1561,7 @@ impl Registry {
             .cell
             .get_or_init(|| match self.absorb_append(key, ds, old, new) {
                 Ok(entry) => {
-                    self.counters.append_updates.fetch_add(1, Ordering::Relaxed);
+                    self.counters[Lifecycle::AppendUpdates].fetch_add(1, Ordering::Relaxed);
                     self.resident_bytes
                         .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
                     self.emit(RegistryEvent::AppendUpdate {
@@ -1635,7 +1581,7 @@ impl Registry {
                     // state): pay the full scan instead. That scan is
                     // the miss; the caller must not also count a hit.
                     fell_back.set(true);
-                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters[Lifecycle::Misses].fetch_add(1, Ordering::Relaxed);
                     self.scan_build(key, ds, LoadMode::Stream)
                 }
             })
@@ -1645,7 +1591,7 @@ impl Registry {
         // build. Only the caller whose own absorb fell back to a scan
         // skips the hit: its lookup is the miss counted above.
         if count_hit && !fell_back.get() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters[Lifecycle::Hits].fetch_add(1, Ordering::Relaxed);
         }
         self.finish_build(key, &slot, &result);
         (result, we_swapped)
@@ -1772,7 +1718,7 @@ impl Registry {
             .get_or_init(|| {
                 if allow_restore {
                     if let Some(entry) = self.try_restore(key, ds) {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters[Lifecycle::DiskHits].fetch_add(1, Ordering::Relaxed);
                         self.resident_bytes
                             .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
                         self.emit(RegistryEvent::Restored {
@@ -1782,7 +1728,7 @@ impl Registry {
                         return Ok(Arc::new(entry));
                     }
                 }
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters[Lifecycle::Misses].fetch_add(1, Ordering::Relaxed);
                 self.scan_build(key, ds, mode)
             })
             .clone();
@@ -1874,7 +1820,7 @@ impl Registry {
                         _ => 0,
                     };
                     self.forget_bytes(&slot);
-                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.counters[Lifecycle::Evictions].fetch_add(1, Ordering::Relaxed);
                     self.emit(RegistryEvent::Evicted {
                         key: key.fnv64(),
                         bytes,
@@ -2606,6 +2552,7 @@ fn read_pairs_meta(path: &Path) -> Option<PersistedPairsMeta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Lifecycle::*;
     use std::io::Write as _;
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -2651,8 +2598,8 @@ mod tests {
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&first.unwrap(), &second.unwrap()));
-        assert_eq!(reg.hits(), 1);
-        assert_eq!(reg.misses(), 1);
+        assert_eq!(reg.counter(Hits), 1);
+        assert_eq!(reg.counter(Misses), 1);
         assert_eq!(reg.len(), 1);
     }
 
@@ -2751,7 +2698,7 @@ mod tests {
         let built = built.unwrap();
         let peeked = reg.peek(&key).expect("fresh build opens the window");
         assert!(Arc::ptr_eq(&built, &peeked));
-        assert_eq!(reg.hits(), 1, "peek counts as a cache hit");
+        assert_eq!(reg.counter(Hits), 1, "peek counts as a cache hit");
         // An unknown key stays a clean miss.
         let mut other = ds.clone();
         other.seed = 99;
@@ -2844,8 +2791,8 @@ mod tests {
             assert!(Arc::ptr_eq(&entries[0], e), "all clients share one entry");
         }
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.misses(), 1, "exactly one scan");
-        assert_eq!(reg.hits() + reg.misses(), 4);
+        assert_eq!(reg.counter(Misses), 1, "exactly one scan");
+        assert_eq!(reg.counter(Hits) + reg.counter(Misses), 4);
     }
 
     #[test]
@@ -2863,8 +2810,8 @@ mod tests {
         assert!(hit);
         let again = again.unwrap();
         assert!(again.dataset.is_some());
-        assert_eq!(reg.hits(), 1);
-        assert_eq!(reg.misses(), 2);
+        assert_eq!(reg.counter(Hits), 1);
+        assert_eq!(reg.counter(Misses), 2);
         // The replaced sample-only entry's bytes were released.
         assert_eq!(reg.snapshot().resident_bytes, again.stored_bytes as u64);
     }
@@ -2896,8 +2843,8 @@ mod tests {
         }
         // Stream build + exactly one upgrade re-scan; the other three
         // upgraders waited on the same slot and count as hits.
-        assert_eq!(reg.misses(), 2);
-        assert_eq!(reg.hits(), 3);
+        assert_eq!(reg.counter(Misses), 2);
+        assert_eq!(reg.counter(Hits), 3);
     }
 
     #[test]
@@ -2941,16 +2888,16 @@ mod tests {
         assert!(hit);
         let (_, _) = reg.get_or_load(&dsref(&paths[2]), LoadMode::Stream);
         let snap = reg.snapshot();
-        assert_eq!(snap.evictions, 1);
+        assert_eq!(snap.counters[Evictions], 1);
         assert_eq!(snap.datasets, 2);
         assert!(snap.resident_bytes <= budget);
         // d0 survived (recently touched), d1 was evicted.
         let (_, hit0) = reg.get_or_load(&dsref(&paths[0]), LoadMode::Stream);
         assert!(hit0, "recently-touched entry must survive");
-        let before = reg.misses();
+        let before = reg.counter(Misses);
         let (_, hit1) = reg.get_or_load(&dsref(&paths[1]), LoadMode::Stream);
         assert!(!hit1, "LRU entry must have been evicted");
-        assert_eq!(reg.misses(), before + 1);
+        assert_eq!(reg.counter(Misses), before + 1);
     }
 
     #[test]
@@ -2963,7 +2910,7 @@ mod tests {
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert!(entry.is_ok(), "the protected entry is never evicted");
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.snapshot().evictions, 0);
+        assert_eq!(reg.counter(Evictions), 0);
     }
 
     #[test]
@@ -2982,7 +2929,7 @@ mod tests {
         let first = Registry::with_config(config.clone());
         let (built, _) = first.get_or_load(&dsref(&path), LoadMode::Stream);
         let built = built.unwrap();
-        assert_eq!(first.misses(), 1);
+        assert_eq!(first.counter(Misses), 1);
         drop(first);
 
         // A "restarted server": a fresh registry over the same dir.
@@ -2990,7 +2937,7 @@ mod tests {
         let (restored, hit) = second.get_or_load(&dsref(&path), LoadMode::Stream);
         let restored = restored.unwrap();
         assert!(!hit);
-        assert_eq!(second.misses(), 0, "no source scan on a warm start");
+        assert_eq!(second.counter(Misses), 0, "no source scan on a warm start");
         assert_eq!(second.disk_hits(), 1);
         assert_eq!(restored.rows, built.rows);
         assert_eq!(restored.attrs, built.attrs);
@@ -3028,8 +2975,8 @@ mod tests {
         assert_eq!(second.rows, 500, "the rebuilt entry sees the new file");
         assert!(!Arc::ptr_eq(&first, &second));
         let snap = reg.snapshot();
-        assert_eq!(snap.stale_rebuilds, 1);
-        assert_eq!(snap.misses, 2);
+        assert_eq!(snap.counters[StaleRebuilds], 1);
+        assert_eq!(snap.counters[Misses], 2);
         assert_eq!(snap.datasets, 1);
         assert_eq!(snap.resident_bytes, second.stored_bytes as u64);
     }
@@ -3054,7 +3001,7 @@ mod tests {
         let (entry, _) = second.get_or_load(&ds, LoadMode::Stream);
         assert_eq!(entry.unwrap().rows, 500, "stale persisted sample ignored");
         assert_eq!(second.disk_hits(), 0);
-        assert_eq!(second.misses(), 1);
+        assert_eq!(second.counter(Misses), 1);
     }
 
     #[test]
@@ -3077,7 +3024,7 @@ mod tests {
         let (_, hit) = reg.get_or_load(&ds, LoadMode::Stream);
         assert!(!hit);
         assert_eq!(reg.disk_hits(), 0);
-        assert_eq!(reg.misses(), 2);
+        assert_eq!(reg.counter(Misses), 2);
     }
 
     #[test]
@@ -3120,7 +3067,7 @@ mod tests {
         let second = Registry::with_config(config);
         let (restored, _) = second.get_or_load(&ds, LoadMode::Stream);
         assert_eq!(second.disk_hits(), 0);
-        assert_eq!(second.misses(), 1);
+        assert_eq!(second.counter(Misses), 1);
         assert_eq!(restored.unwrap().filter.sample().n_rows(), 20);
     }
 
@@ -3147,7 +3094,7 @@ mod tests {
         // the restore.
         let (entry, _) = second.get_or_load_materialised(&dsref(&path));
         assert!(entry.unwrap().dataset.is_some());
-        assert_eq!(second.misses(), 1, "the materialising scan");
+        assert_eq!(second.counter(Misses), 1, "the materialising scan");
     }
 
     #[test]
@@ -3169,7 +3116,7 @@ mod tests {
         assert!(!hit);
         assert!(entry.unwrap().dataset.is_some(), "memory load materialises");
         assert_eq!(second.disk_hits(), 0, "restore skipped for memory mode");
-        assert_eq!(second.misses(), 1);
+        assert_eq!(second.counter(Misses), 1);
     }
 
     #[test]
@@ -3206,12 +3153,15 @@ mod tests {
         let (_, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         let (_, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         let snap = reg.snapshot();
-        assert_eq!(snap.hits, 1);
-        assert_eq!(snap.misses, 1);
+        assert_eq!(snap.counters[Hits], 1);
+        assert_eq!(snap.counters[Misses], 1);
         assert_eq!(snap.datasets, 1);
         assert!(snap.resident_bytes > 0);
         assert_eq!(
-            snap.evictions + snap.stale_rebuilds + snap.disk_hits + snap.upgrades,
+            snap.counters[Evictions]
+                + snap.counters[StaleRebuilds]
+                + snap.counters[DiskHits]
+                + snap.counters[Upgrades],
             0
         );
     }
@@ -3258,7 +3208,7 @@ mod tests {
         let ds = dsref(&path);
         let (entry, _) = reg.get_or_load(&ds, LoadMode::Stream);
         let entry = entry.unwrap();
-        assert_eq!(reg.misses(), 1, "the sample build");
+        assert_eq!(reg.counter(Misses), 1, "the sample build");
         let sketches: Vec<Arc<NonSeparationSketch>> = std::thread::scope(|scope| {
             (0..4)
                 .map(|_| {
@@ -3275,7 +3225,11 @@ mod tests {
         for sk in &sketches[1..] {
             assert!(Arc::ptr_eq(&sketches[0], sk), "one sketch for everyone");
         }
-        assert_eq!(reg.misses(), 2, "sample build + exactly one sketch scan");
+        assert_eq!(
+            reg.counter(Misses),
+            2,
+            "sample build + exactly one sketch scan"
+        );
         // The sketch participates in the byte accounting, together
         // with the pair-sample tuples retained for append absorption.
         let pair_bytes = entry
@@ -3302,7 +3256,11 @@ mod tests {
         let mem_reg = Registry::new();
         let (me, _) = mem_reg.get_or_load(&ds, LoadMode::Memory);
         let mem_sketch = mem_reg.sketch_for(&ds, &me.unwrap()).unwrap();
-        assert_eq!(mem_reg.misses(), 1, "a resident dataset needs no re-scan");
+        assert_eq!(
+            mem_reg.counter(Misses),
+            1,
+            "a resident dataset needs no re-scan"
+        );
         let attrs = [vec![AttrId::new(0)], vec![AttrId::new(1)], vec![]];
         for a in &attrs {
             assert_eq!(stream_sketch.raw_count(a), mem_sketch.raw_count(a));
@@ -3324,7 +3282,7 @@ mod tests {
         let first = Registry::with_config(config.clone());
         let (entry, _) = first.get_or_load(&ds, LoadMode::Stream);
         let built = first.sketch_for(&ds, &entry.unwrap()).unwrap();
-        assert_eq!(first.misses(), 2);
+        assert_eq!(first.counter(Misses), 2);
         drop(first);
 
         let second = Registry::with_config(config);
@@ -3333,7 +3291,7 @@ mod tests {
         assert_eq!(second.disk_hits(), 1, "the sample restore");
         let restored = second.sketch_for(&ds, &entry).unwrap();
         assert_eq!(second.disk_hits(), 2, "the pair-sample restore");
-        assert_eq!(second.misses(), 0, "no source scan anywhere");
+        assert_eq!(second.counter(Misses), 0, "no source scan anywhere");
         for a in [vec![AttrId::new(0)], vec![AttrId::new(1)]] {
             assert_eq!(restored.raw_count(&a), built.raw_count(&a));
             assert_eq!(restored.query(&a), built.query(&a));
@@ -3367,7 +3325,7 @@ mod tests {
         // The stale pairs file must not be adopted: the sketch scans
         // the new source instead (entry scan + sketch scan).
         assert_eq!(second.disk_hits(), 0);
-        assert_eq!(second.misses(), 2);
+        assert_eq!(second.counter(Misses), 2);
         assert_eq!(sketch.source_pairs(), 500 * 499 / 2);
     }
 
@@ -3399,16 +3357,16 @@ mod tests {
         let path = fixture_csv("upgrade-count.csv", 300);
         let reg = Registry::new();
         let (_, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
-        assert_eq!(reg.snapshot().upgrades, 0);
+        assert_eq!(reg.counter(Upgrades), 0);
         let (entry, _) = reg.get_or_load_materialised(&dsref(&path));
         assert!(entry.unwrap().dataset.is_some());
         let snap = reg.snapshot();
-        assert_eq!(snap.upgrades, 1);
-        assert_eq!(snap.misses, 2, "the upgrade is also a miss");
+        assert_eq!(snap.counters[Upgrades], 1);
+        assert_eq!(snap.counters[Misses], 2, "the upgrade is also a miss");
         // A second materialised lookup is a hit, not another upgrade.
         let (_, hit) = reg.get_or_load_materialised(&dsref(&path));
         assert!(hit);
-        assert_eq!(reg.snapshot().upgrades, 1);
+        assert_eq!(reg.counter(Upgrades), 1);
     }
 
     #[test]
@@ -3476,7 +3434,7 @@ mod tests {
 
         reg.get_or_load(&dsref(&path), LoadMode::Stream).0.unwrap();
         assert_eq!(
-            reg.snapshot().stale_rebuilds,
+            reg.counter(StaleRebuilds),
             1,
             "the content fingerprint must catch a same-stat rewrite"
         );
@@ -3512,7 +3470,7 @@ mod tests {
         let (rebuilt, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert_eq!(rebuilt.unwrap().rows, 12_300);
         assert_eq!(
-            reg.snapshot().stale_rebuilds,
+            reg.counter(StaleRebuilds),
             1,
             "a beyond-prefix rewrite + growth is stale, not an append"
         );
@@ -3553,8 +3511,8 @@ mod tests {
 
         let (_, hit) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert!(hit, "an unchanged non-racy stat is trusted as-is");
-        assert_eq!(reg.hits(), 1);
-        assert_eq!(reg.snapshot().stale_rebuilds, 0);
+        assert_eq!(reg.counter(Hits), 1);
+        assert_eq!(reg.counter(StaleRebuilds), 0);
     }
 
     #[test]
@@ -3567,7 +3525,7 @@ mod tests {
         write_fixture(Path::new(&path), 200, 0);
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert_eq!(entry.unwrap().rows, 200);
-        assert_eq!(reg.snapshot().stale_rebuilds, 1);
+        assert_eq!(reg.counter(StaleRebuilds), 1);
         assert_eq!(reg.append_updates(), 0);
     }
 
@@ -3584,8 +3542,12 @@ mod tests {
         assert!(hit, "the absorbing lookup is a hit, not a rebuild");
         assert_eq!(absorbed.rows, 700);
         assert_eq!(reg.append_updates(), 1);
-        assert_eq!(reg.snapshot().stale_rebuilds, 0);
-        assert_eq!(reg.misses(), 1, "only the cold build scanned the file");
+        assert_eq!(reg.counter(StaleRebuilds), 0);
+        assert_eq!(
+            reg.counter(Misses),
+            1,
+            "only the cold build scanned the file"
+        );
 
         // The absorbed entry must be indistinguishable from a cold
         // rebuild over the grown file: the resumed reservoir makes the
@@ -3648,7 +3610,7 @@ mod tests {
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert_eq!(entry.unwrap().rows, 4);
         assert_eq!(reg.append_updates(), 0, "a straddled row must not absorb");
-        assert_eq!(reg.snapshot().stale_rebuilds, 1);
+        assert_eq!(reg.counter(StaleRebuilds), 1);
     }
 
     #[test]
@@ -3661,7 +3623,7 @@ mod tests {
         let path = fixture_csv("fallback.csv", 300);
         let reg = Registry::new();
         reg.get_or_load(&dsref(&path), LoadMode::Stream).0.unwrap();
-        assert_eq!((reg.hits(), reg.misses()), (0, 1));
+        assert_eq!((reg.counter(Hits), reg.counter(Misses)), (0, 1));
 
         let mut f = std::fs::File::options().append(true).open(&path).unwrap();
         writeln!(f, "300,0,9").unwrap();
@@ -3672,11 +3634,11 @@ mod tests {
         assert_eq!(reg.append_updates(), 0);
         let lookups = 2;
         assert_eq!(
-            reg.hits() + reg.misses(),
+            reg.counter(Hits) + reg.counter(Misses),
             lookups,
             "the fallback lookup is one miss, never also a hit"
         );
-        assert_eq!((reg.hits(), reg.misses()), (0, 2));
+        assert_eq!((reg.counter(Hits), reg.counter(Misses)), (0, 2));
     }
 
     #[test]
@@ -3688,17 +3650,21 @@ mod tests {
         });
         let ds = dsref(&path);
         reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
-        let hits_before = reg.hits();
+        let hits_before = reg.counter(Hits);
 
         assert_eq!(reg.sweep(), 0, "a fresh entry needs no refresh");
-        assert_eq!(reg.sweep_refreshes(), 0);
+        assert_eq!(reg.counter(SweepRefreshes), 0);
 
         append_rows(&path, 300, 200, 0);
         assert_eq!(reg.sweep(), 1);
-        assert_eq!(reg.sweep_refreshes(), 1);
+        assert_eq!(reg.counter(SweepRefreshes), 1);
         assert_eq!(reg.append_updates(), 1);
-        assert_eq!(reg.hits(), hits_before, "the sweeper is not a lookup");
-        assert_eq!(reg.misses(), 1, "the suffix absorb is not a scan");
+        assert_eq!(
+            reg.counter(Hits),
+            hits_before,
+            "the sweeper is not a lookup"
+        );
+        assert_eq!(reg.counter(Misses), 1, "the suffix absorb is not a scan");
 
         // The refresh re-opened the revalidation window, so the
         // zero-alloc fast path serves the absorbed entry immediately.
@@ -3728,8 +3694,12 @@ mod tests {
         // However the race lands — sweeper first, foreground first, or
         // truly interleaved — the swap-then-build-once discipline
         // admits exactly one rebuild scan and counts it exactly once.
-        assert_eq!(reg.misses(), 2, "cold build + exactly one rebuild scan");
-        assert_eq!(reg.snapshot().stale_rebuilds, 1, "one swap, ever");
+        assert_eq!(
+            reg.counter(Misses),
+            2,
+            "cold build + exactly one rebuild scan"
+        );
+        assert_eq!(reg.counter(StaleRebuilds), 1, "one swap, ever");
         assert_eq!(reg.len(), 1);
     }
 
@@ -3790,8 +3760,12 @@ mod tests {
         let (entry, _) = reg.get_or_load(&ds, LoadMode::Stream);
         let entry = entry.unwrap();
         assert_eq!(reg.disk_hits(), 0, "a v1 meta must not restore");
-        assert_eq!(reg.misses(), 1, "rejected restore falls back to a scan");
-        assert_eq!(reg.snapshot().upgrades, 0);
+        assert_eq!(
+            reg.counter(Misses),
+            1,
+            "rejected restore falls back to a scan"
+        );
+        assert_eq!(reg.counter(Upgrades), 0);
         assert!(
             entry.dataset.is_none(),
             "stats on a stream entry must not silently materialise"
@@ -3928,7 +3902,7 @@ mod tests {
         let (again, _) = reg.get_or_load(&ds, LoadMode::Stream);
         assert_eq!(again.unwrap().rows, 600);
         assert_eq!(reg.append_updates(), 1, "post-restore appends absorb");
-        assert_eq!(reg.snapshot().stale_rebuilds, 0);
+        assert_eq!(reg.counter(StaleRebuilds), 0);
     }
 
     // ------------------------------------- journal + recovery suite
@@ -3943,7 +3917,7 @@ mod tests {
             ..RegistryConfig::default()
         };
         let first = Registry::with_config(config.clone());
-        assert_eq!(first.restarts(), 0, "first boot");
+        assert_eq!(first.snapshot().restarts, 0, "first boot");
         first
             .get_or_load(&dsref(&path_a), LoadMode::Stream)
             .0
@@ -3956,26 +3930,29 @@ mod tests {
             .get_or_load(&dsref(&path_a), LoadMode::Stream)
             .0
             .unwrap();
-        assert_eq!((first.hits(), first.misses()), (1, 2));
+        assert_eq!((first.counter(Hits), first.counter(Misses)), (1, 2));
         drop(first); // clean shutdown: counters land in the journal
 
         let second = Registry::with_config(config);
         // Both keys were eagerly re-admitted during construction…
         assert_eq!(second.len(), 2, "resident set survives the restart");
-        assert_eq!(second.restarts(), 1);
-        assert!(second.wal_replayed_events() > 0);
+        assert_eq!(second.snapshot().restarts, 1);
+        assert!(second.snapshot().wal_replayed_events > 0);
         assert_eq!(second.disk_hits(), 2, "re-admission restores, never scans");
         // …and the cumulative counters resumed instead of resetting.
-        assert_eq!(second.misses(), 2, "prior-life misses survive");
-        assert_eq!(second.hits(), 1, "prior-life hits survive");
+        assert_eq!(second.counter(Misses), 2, "prior-life misses survive");
+        assert_eq!(second.counter(Hits), 1, "prior-life hits survive");
         // Replayed keys serve as plain hits: zero build misses.
         let (entry, hit) = second.get_or_load(&dsref(&path_a), LoadMode::Stream);
         assert!(hit, "a replayed key is already resident");
         assert_eq!(entry.unwrap().rows, 300);
-        assert_eq!(second.misses(), 2, "no scan for a replayed key");
+        assert_eq!(second.counter(Misses), 2, "no scan for a replayed key");
         let snap = second.snapshot();
         assert_eq!(snap.restarts, 1);
-        assert_eq!(snap.wal_replayed_events, second.wal_replayed_events());
+        assert_eq!(
+            snap.wal_replayed_events,
+            second.snapshot().wal_replayed_events
+        );
     }
 
     #[test]
@@ -3995,9 +3972,13 @@ mod tests {
         drop(first);
 
         let second = Registry::with_config(config);
-        assert_eq!(second.restarts(), 1);
+        assert_eq!(second.snapshot().restarts, 1);
         assert_eq!(second.len(), 1, "the built key is re-admitted");
-        assert_eq!(second.misses(), 1, "the journaled build survives the crash");
+        assert_eq!(
+            second.counter(Misses),
+            1,
+            "the journaled build survives the crash"
+        );
         assert_eq!(second.disk_hits(), 1, "the re-admission restore");
         let (_, hit) = second.get_or_load(&dsref(&path), LoadMode::Stream);
         assert!(hit);

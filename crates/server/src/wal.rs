@@ -49,11 +49,11 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::json::{self, obj, s, Json};
+use crate::metrics::{CounterSet, Lifecycle, LifecycleCounters, Persist};
 use crate::registry::RegistryEvent;
 
 /// Journal file name under the cache dir.
@@ -80,145 +80,45 @@ const SNAPSHOT_VERSION: i64 = 1;
 /// tick or event notification).
 const FLUSH_INTERVAL: Duration = Duration::from_millis(100);
 
-/// The registry's cumulative lifecycle counters as plain values — the
-/// unit of counter durability. Every field is monotone over the
-/// server's whole life *across restarts*, which is what lets recovery
-/// take the elementwise max of independent durable sources.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterSet {
-    /// Lookups served from a resident entry.
-    pub hits: u64,
-    /// Lookups that scanned the source.
-    pub misses: u64,
-    /// Lookups restored from the warm tier.
-    pub disk_hits: u64,
-    /// LRU evictions.
-    pub evictions: u64,
-    /// Source-change rebuilds.
-    pub stale_rebuilds: u64,
-    /// Sample-to-materialised upgrades.
-    pub upgrades: u64,
-    /// Appends absorbed incrementally.
-    pub append_updates: u64,
-    /// Entries refreshed by the background sweeper.
-    pub sweep_refreshes: u64,
-}
-
-/// Field names in checkpoint/snapshot order — one list so the
-/// allocation-free writer, the JSON reader, and the docs cannot drift.
-const COUNTER_NAMES: [&str; 8] = [
-    "hits",
-    "misses",
-    "disk_hits",
-    "evictions",
-    "stale_rebuilds",
-    "upgrades",
-    "append_updates",
-    "sweep_refreshes",
-];
-
 impl CounterSet {
-    fn as_array(&self) -> [u64; 8] {
-        [
-            self.hits,
-            self.misses,
-            self.disk_hits,
-            self.evictions,
-            self.stale_rebuilds,
-            self.upgrades,
-            self.append_updates,
-            self.sweep_refreshes,
-        ]
-    }
-
-    fn from_array(v: [u64; 8]) -> CounterSet {
-        CounterSet {
-            hits: v[0],
-            misses: v[1],
-            disk_hits: v[2],
-            evictions: v[3],
-            stale_rebuilds: v[4],
-            upgrades: v[5],
-            append_updates: v[6],
-            sweep_refreshes: v[7],
-        }
-    }
-
     /// Elementwise max — counters are monotone, so the larger of two
     /// durable observations is always the later one.
     fn max_with(&mut self, other: &CounterSet) {
-        let (mut a, b) = (self.as_array(), other.as_array());
-        for (slot, v) in a.iter_mut().zip(b) {
+        for (slot, &v) in self.0.iter_mut().zip(&other.0) {
             *slot = (*slot).max(v);
         }
-        *self = CounterSet::from_array(a);
     }
 
-    /// Reads the eight counter fields out of a JSON object; missing or
-    /// malformed fields reject the whole set (a half-read checkpoint
-    /// must not look authoritative).
+    /// Reads every counter out of a JSON object by its WAL name; a
+    /// missing or malformed field rejects the whole set (a half-read
+    /// checkpoint must not look authoritative).
     fn from_json(v: &Json) -> Option<CounterSet> {
-        let mut out = [0u64; 8];
-        for (slot, name) in out.iter_mut().zip(COUNTER_NAMES) {
-            *slot = v.get(name)?.as_u64_lossless()?;
+        let mut out = CounterSet::default();
+        for c in Lifecycle::ALL {
+            out[c] = v.get(c.name())?.as_u64_lossless()?;
         }
-        Some(CounterSet::from_array(out))
+        Some(out)
     }
 
     fn json_fields(&self) -> Vec<(&'static str, Json)> {
-        COUNTER_NAMES
+        Lifecycle::ALL
             .iter()
-            .zip(self.as_array())
-            .map(|(&name, v)| (name, json::u64_value(v)))
+            .map(|&c| (c.name(), json::u64_value(self[c])))
             .collect()
     }
 }
 
-/// The registry's live lifecycle counters (atomic, shared between the
-/// registry and the WAL flusher). Split out of the `Registry` struct
-/// so the flusher thread can checkpoint them without holding a
-/// reference to the registry itself.
-#[derive(Debug, Default)]
-pub(crate) struct LifecycleCounters {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub disk_hits: AtomicU64,
-    pub evictions: AtomicU64,
-    pub stale_rebuilds: AtomicU64,
-    pub upgrades: AtomicU64,
-    pub append_updates: AtomicU64,
-    pub sweep_refreshes: AtomicU64,
-}
-
-impl LifecycleCounters {
-    /// A point-in-time copy of all eight counters.
-    pub fn values(&self) -> CounterSet {
-        CounterSet {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_rebuilds: self.stale_rebuilds.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
-            append_updates: self.append_updates.load(Ordering::Relaxed),
-            sweep_refreshes: self.sweep_refreshes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Seeds the atomics from recovered values (startup only, before
-    /// any traffic).
-    pub fn seed(&self, c: &CounterSet) {
-        self.hits.store(c.hits, Ordering::Relaxed);
-        self.misses.store(c.misses, Ordering::Relaxed);
-        self.disk_hits.store(c.disk_hits, Ordering::Relaxed);
-        self.evictions.store(c.evictions, Ordering::Relaxed);
-        self.stale_rebuilds
-            .store(c.stale_rebuilds, Ordering::Relaxed);
-        self.upgrades.store(c.upgrades, Ordering::Relaxed);
-        self.append_updates
-            .store(c.append_updates, Ordering::Relaxed);
-        self.sweep_refreshes
-            .store(c.sweep_refreshes, Ordering::Relaxed);
+/// The lifecycle counter a journaled event proves moved, if any —
+/// replay counts these events to re-derive the
+/// [`Journaled`](crate::metrics::Persist::Journaled) counters.
+fn journaled_counter(event: &RegistryEvent) -> Option<Lifecycle> {
+    match event {
+        RegistryEvent::Built { .. } => Some(Lifecycle::Misses),
+        RegistryEvent::Restored { .. } => Some(Lifecycle::DiskHits),
+        RegistryEvent::Evicted { .. } => Some(Lifecycle::Evictions),
+        RegistryEvent::StaleRebuild { .. } => Some(Lifecycle::StaleRebuilds),
+        RegistryEvent::AppendUpdate { .. } => Some(Lifecycle::AppendUpdates),
+        _ => None,
     }
 }
 
@@ -426,13 +326,8 @@ impl Wal {
         };
         self.append_locked(&mut inner, &line);
         apply_key_event(&mut inner.keys, seq, &event);
-        match event {
-            RegistryEvent::Built { .. } => inner.event_counters.misses += 1,
-            RegistryEvent::Restored { .. } => inner.event_counters.disk_hits += 1,
-            RegistryEvent::Evicted { .. } => inner.event_counters.evictions += 1,
-            RegistryEvent::StaleRebuild { .. } => inner.event_counters.stale_rebuilds += 1,
-            RegistryEvent::AppendUpdate { .. } => inner.event_counters.append_updates += 1,
-            _ => {}
+        if let Some(c) = journaled_counter(&event) {
+            inner.event_counters[c] += 1;
         }
         drop(inner);
         // Nudge the flusher: the event reaches the platter on its next
@@ -557,14 +452,16 @@ impl Wal {
     /// and truncates it. Only reached when events were journaled, so
     /// allocation here never lands inside an event-free steady state.
     fn rotate_locked(&self, inner: &mut WalInner, counters: &LifecycleCounters) {
-        // Evented counters come from the journal-proved set (see
-        // `WalInner::event_counters`); the never-journaled three come
-        // from the live atomics, which are their only durable source.
+        // Journaled counters come from the journal-proved set (see
+        // `WalInner::event_counters`); the others come from the live
+        // atomics, which are their only durable source.
         let live = counters.values();
         let mut folded = inner.event_counters;
-        folded.hits = folded.hits.max(live.hits);
-        folded.upgrades = folded.upgrades.max(live.upgrades);
-        folded.sweep_refreshes = folded.sweep_refreshes.max(live.sweep_refreshes);
+        for c in Lifecycle::ALL {
+            if !matches!(c.row().wal, Persist::Journaled(_)) {
+                folded[c] = folded[c].max(live[c]);
+            }
+        }
         let mut keys: Vec<(u64, KeyState)> = inner.keys.iter().map(|(&k, &v)| (k, v)).collect();
         keys.sort_by_key(|&(stem, st)| (st.last_seq, stem));
         let keys_json = Json::Arr(
@@ -620,14 +517,14 @@ impl Wal {
         } = inner;
         buf.clear();
         buf.push(b'{');
-        for (name, v) in COUNTER_NAMES.iter().zip(cur.as_array()) {
+        for c in Lifecycle::ALL {
             if buf.len() > 1 {
                 buf.push(b',');
             }
             buf.push(b'"');
-            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(c.name().as_bytes());
             buf.extend_from_slice(b"\":");
-            push_u64(buf, v);
+            push_u64(buf, cur[c]);
         }
         let sum = fnv64(buf);
         buf.extend_from_slice(b",\"fnv\":\"");
@@ -882,70 +779,40 @@ fn parse_record(line: &str) -> Option<Record> {
 
 /// Replays one record into the scan state: counter deltas for the
 /// counters an event determines exactly, key-state transitions for
-/// the access map and resident set. Hits, upgrades, and sweep
-/// refreshes have no per-event record (they are checkpoint-resumed),
-/// so a crash loses at most [`FLUSH_INTERVAL`] of their movement.
+/// the access map and resident set. Counters the table does not mark
+/// [`Journaled`](crate::metrics::Persist::Journaled) have no per-event
+/// record (they are checkpoint-resumed), so a crash loses at most
+/// [`FLUSH_INTERVAL`] of their movement.
 fn apply_record(scan: &mut Scan, rec: &Record) {
-    let seq = rec.seq;
-    match (rec.ev.as_str(), rec.key) {
-        ("open", _) => scan.lives += 1,
-        ("build", Some(key)) => {
-            scan.counters.misses += 1;
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::Built { key, bytes: 0 });
+    let event = match (rec.ev.as_str(), rec.key) {
+        ("open", _) => {
+            scan.lives += 1;
+            return;
         }
-        ("restore", Some(key)) => {
-            scan.counters.disk_hits += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::Restored { key, bytes: 0 },
-            );
-        }
-        ("evict", Some(key)) => {
-            scan.counters.evictions += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::Evicted { key, bytes: 0 },
-            );
-        }
-        ("stale_rebuild", Some(key)) => {
-            scan.counters.stale_rebuilds += 1;
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::StaleRebuild { key });
-        }
-        ("append_absorb", Some(key)) => {
-            scan.counters.append_updates += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::AppendUpdate { key, bytes: 0 },
-            );
-        }
-        ("sketch_build", Some(key)) => {
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::SketchBuilt { key, bytes: 0 },
-            );
-        }
-        ("disk_gc", Some(key)) => {
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::DiskEvicted { key, bytes: 0 },
-            );
-        }
-        ("unload", Some(key)) => {
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::Unloaded { key });
-        }
-        ("purge", _) => scan.keys.clear(),
         ("shutdown", _) => {
             if let Some(c) = &rec.counters {
                 scan.shutdown_counters.max_with(c);
             }
+            return;
         }
-        _ => {}
+        ("purge", _) => RegistryEvent::Purged {
+            entries: 0,
+            files: 0,
+        },
+        ("build", Some(key)) => RegistryEvent::Built { key, bytes: 0 },
+        ("restore", Some(key)) => RegistryEvent::Restored { key, bytes: 0 },
+        ("evict", Some(key)) => RegistryEvent::Evicted { key, bytes: 0 },
+        ("stale_rebuild", Some(key)) => RegistryEvent::StaleRebuild { key },
+        ("append_absorb", Some(key)) => RegistryEvent::AppendUpdate { key, bytes: 0 },
+        ("sketch_build", Some(key)) => RegistryEvent::SketchBuilt { key, bytes: 0 },
+        ("disk_gc", Some(key)) => RegistryEvent::DiskEvicted { key, bytes: 0 },
+        ("unload", Some(key)) => RegistryEvent::Unloaded { key },
+        _ => return,
+    };
+    if let Some(c) = journaled_counter(&event) {
+        scan.counters[c] += 1;
     }
+    apply_key_event(&mut scan.keys, rec.seq, &event);
 }
 
 /// Validates a checkpoint line's trailing FNV and returns its
@@ -1090,6 +957,8 @@ fn read_all(path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Lifecycle::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn unique_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -1134,8 +1003,8 @@ mod tests {
                 key: 0xb2,
                 bytes: 20,
             });
-            counters.hits.store(41, Ordering::Relaxed);
-            counters.misses.store(2, Ordering::Relaxed);
+            counters[Hits].store(41, Ordering::Relaxed);
+            counters[Misses].store(2, Ordering::Relaxed);
             wal.close(&counters);
         }
         let wal = Wal::open(&dir, DEFAULT_WAL_MAX_BYTES).expect("reopen");
@@ -1143,10 +1012,10 @@ mod tests {
         assert_eq!(r.restarts, 1, "one prior life");
         assert!(r.clean_shutdown);
         assert!(r.had_journal);
-        assert_eq!(r.counters.misses, 2);
-        assert_eq!(r.counters.disk_hits, 1);
-        assert_eq!(r.counters.evictions, 1);
-        assert_eq!(r.counters.hits, 41, "hits resume from the checkpoint");
+        assert_eq!(r.counters[Misses], 2);
+        assert_eq!(r.counters[DiskHits], 1);
+        assert_eq!(r.counters[Evictions], 1);
+        assert_eq!(r.counters[Hits], 41, "hits resume from the checkpoint");
         // b2 was evicted; a1 was restored last and stays resident.
         assert_eq!(r.resident, vec![0xa1]);
     }
@@ -1160,11 +1029,11 @@ mod tests {
                 key: 0xc3,
                 bytes: 5,
             });
-            counters.misses.store(1, Ordering::Relaxed);
-            counters.hits.store(9, Ordering::Relaxed);
+            counters[Misses].store(1, Ordering::Relaxed);
+            counters[Hits].store(9, Ordering::Relaxed);
             // Let the flusher checkpoint the moved counters.
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while verify_checkpoint(&read_all(&dir.join(COUNTERS_FILE))).is_none_or(|c| c.hits < 9)
+            while verify_checkpoint(&read_all(&dir.join(COUNTERS_FILE))).is_none_or(|c| c[Hits] < 9)
             {
                 assert!(
                     std::time::Instant::now() < deadline,
@@ -1177,8 +1046,8 @@ mod tests {
         let wal = Wal::open(&dir, DEFAULT_WAL_MAX_BYTES).expect("reopen");
         let r = wal.recovery();
         assert!(r.had_journal && !r.clean_shutdown, "crash evidence");
-        assert_eq!(r.counters.misses, 1, "event-derived");
-        assert_eq!(r.counters.hits, 9, "checkpoint-derived");
+        assert_eq!(r.counters[Misses], 1, "event-derived");
+        assert_eq!(r.counters[Hits], 9, "checkpoint-derived");
         assert_eq!(r.resident, vec![0xc3]);
     }
 
@@ -1243,7 +1112,7 @@ mod tests {
         }
         let wal = Wal::open(&dir, 512).expect("reopen");
         let r = wal.recovery();
-        assert_eq!(r.counters.misses, 64, "deltas survive the fold");
+        assert_eq!(r.counters[Misses], 64, "deltas survive the fold");
         assert_eq!(r.resident.len(), 64, "resident set survives the fold");
         assert_eq!(
             *r.resident.last().unwrap(),
@@ -1260,7 +1129,7 @@ mod tests {
         let dir = unique_dir("torn-counters");
         {
             let (wal, counters) = armed(&dir, DEFAULT_WAL_MAX_BYTES);
-            counters.hits.store(1234, Ordering::Relaxed);
+            counters[Hits].store(1234, Ordering::Relaxed);
             wal.close(&counters);
         }
         let text = read_all(&dir.join(COUNTERS_FILE));
@@ -1272,7 +1141,68 @@ mod tests {
         let report = inspect(&dir);
         assert!(report.issues.iter().any(|i| i.contains("checksum")));
         // The shutdown record still carries the true value.
-        assert_eq!(report.counters.hits, 1234);
+        assert_eq!(report.counters[Hits], 1234);
+    }
+
+    /// Counter files exactly as the previous release wrote them: the
+    /// on-disk names and layout must keep recovering.
+    const PARENT_CHECKPOINT: &str = r#"{"hits":13,"misses":9,"disk_hits":3,"evictions":3,"stale_rebuilds":1,"upgrades":3,"append_updates":2,"sweep_refreshes":3,"fnv":"27d515b3829b76d4"}"#;
+    const PARENT_SNAPSHOT: &str = r#"{"version":1,"seq":18,"lives":1,"counters":{"hits":9,"misses":9,"disk_hits":2,"evictions":3,"stale_rebuilds":1,"upgrades":3,"append_updates":2,"sweep_refreshes":3},"keys":[{"key":"f96dc9ba15e75b9a","seq":13,"res":true},{"key":"ee3ebb390879e31b","seq":15,"res":false},{"key":"d93b03d56699225c","seq":16,"res":true},{"key":"81b94a7c20e6bbfe","seq":17,"res":true},{"key":"3388e2fca5e76825","seq":18,"res":true}]}"#;
+
+    #[test]
+    fn previously_written_counter_files_recover_and_rerender_identically() {
+        let checkpointed = CounterSet([13, 9, 3, 3, 1, 3, 2, 3]);
+        let snapshotted = CounterSet([9, 9, 2, 3, 1, 3, 2, 3]);
+        assert_eq!(verify_checkpoint(PARENT_CHECKPOINT), Some(checkpointed));
+        let snapshot = json::parse(PARENT_SNAPSHOT).unwrap();
+        let counters = snapshot.get("counters").unwrap();
+        assert_eq!(CounterSet::from_json(counters), Some(snapshotted));
+        assert_eq!(obj(snapshotted.json_fields()).render(), counters.render());
+
+        // Recovery from the snapshot alone, then with the checkpoint.
+        let dir = unique_dir("parent-files");
+        std::fs::write(dir.join(SNAPSHOT_FILE), format!("{PARENT_SNAPSHOT}\n")).unwrap();
+        assert_eq!(inspect(&dir).counters, snapshotted);
+        assert_eq!(inspect(&dir).resident, 4);
+        std::fs::write(dir.join(COUNTERS_FILE), format!("{PARENT_CHECKPOINT}\n")).unwrap();
+        let report = inspect(&dir);
+        assert_eq!(report.counters, checkpointed);
+        assert!(report.issues.is_empty(), "issues: {:?}", report.issues);
+
+        // Arming a server on that dir rewrites the checkpoint byte for
+        // byte, checksum included.
+        let (wal, counters) = armed(&dir, DEFAULT_WAL_MAX_BYTES);
+        assert_eq!(
+            read_all(&dir.join(COUNTERS_FILE)),
+            format!("{PARENT_CHECKPOINT}\n")
+        );
+        wal.close(&counters);
+    }
+
+    #[test]
+    fn journaled_column_matches_the_events_replay_counts() {
+        let events = [
+            RegistryEvent::Built { key: 1, bytes: 1 },
+            RegistryEvent::Restored { key: 1, bytes: 1 },
+            RegistryEvent::Evicted { key: 1, bytes: 1 },
+            RegistryEvent::StaleRebuild { key: 1 },
+            RegistryEvent::AppendUpdate { key: 1, bytes: 1 },
+            RegistryEvent::SketchBuilt { key: 1, bytes: 1 },
+            RegistryEvent::DiskEvicted { key: 1, bytes: 1 },
+            RegistryEvent::Unloaded { key: 1 },
+            RegistryEvent::Purged {
+                entries: 1,
+                files: 1,
+            },
+        ];
+        let counted: Vec<Lifecycle> = events.iter().filter_map(journaled_counter).collect();
+        for c in Lifecycle::ALL {
+            assert_eq!(
+                counted.iter().filter(|&&d| d == c).count(),
+                usize::from(matches!(c.row().wal, Persist::Journaled(_))),
+                "{c:?}: exactly the journaled counters have one event each"
+            );
+        }
     }
 
     #[test]

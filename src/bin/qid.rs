@@ -118,6 +118,7 @@ use quasi_id::core::separation::group_sizes;
 use quasi_id::core::stream::tuple_filter_from_stream;
 use quasi_id::dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource};
 use quasi_id::prelude::*;
+use quasi_id::server::metrics::Lifecycle;
 use quasi_id::server::proto::{DatasetRef, LoadMode, Request, Response, DEFAULT_TRACE_LAST};
 use quasi_id::server::{resolve_attr_names, split_attr_spec, Client, Server, ServerConfig};
 
@@ -492,18 +493,9 @@ fn cmd_wal(args: &[String]) -> ExitCode {
         "resident: {} keys would be re-admitted on the next boot",
         report.resident
     );
-    let c = &report.counters;
     outln!(
-        "counters: {} hits, {} misses, {} disk hits, {} evictions, \
-         {} stale rebuilds, {} upgrades, {} append updates, {} sweep refreshes",
-        c.hits,
-        c.misses,
-        c.disk_hits,
-        c.evictions,
-        c.stale_rebuilds,
-        c.upgrades,
-        c.append_updates,
-        c.sweep_refreshes
+        "counters: {}",
+        lifecycle_list(&Lifecycle::ALL, |c| report.counters[c])
     );
     if dump {
         for line in &report.lines {
@@ -716,6 +708,16 @@ fn send_and_print(addr: &str, request: &Request) -> ExitCode {
     print_response(&response)
 }
 
+/// `"N evictions, N stale rebuilds, …"`: each counter's value, labelled
+/// with its WAL name, underscores as spaces.
+fn lifecycle_list(counters: &[Lifecycle], value: impl Fn(Lifecycle) -> u64) -> String {
+    counters
+        .iter()
+        .map(|&c| format!("{} {}", value(c), c.name().replace('_', " ")))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 fn print_response(response: &Response) -> ExitCode {
     match response {
         Response::Loaded {
@@ -864,14 +866,11 @@ fn print_response(response: &Response) -> ExitCode {
                 report.cache_misses,
                 report.cache_disk_hits
             );
+            // Hits, misses and disk hits are on the `registry:` line.
+            let rest = &Lifecycle::ALL[Lifecycle::Evictions as usize..];
             outln!(
-                "lifecycle: {} evictions, {} stale rebuilds, {} upgrades, \
-                 {} append updates, {} sweep refreshes",
-                report.cache_evictions,
-                report.cache_stale_rebuilds,
-                report.cache_upgrades,
-                report.cache_append_updates,
-                report.cache_sweep_refreshes
+                "lifecycle: {}",
+                lifecycle_list(rest, |c| (c.row().get)(report))
             );
             outln!(
                 "connections: {} accepted; hardening: {} rejected busy, \

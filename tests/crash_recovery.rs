@@ -361,3 +361,100 @@ fn kill9_mid_append_absorb_recovers_a_consistent_answer() {
     server.shutdown();
     assert_wal_verifies(&cache);
 }
+
+/// Runs the `qid` binary to a zero exit and returns its stdout lines.
+fn qid_stdout(args: &[&str]) -> Vec<String> {
+    let output = Command::new(env!("CARGO_BIN_EXE_qid"))
+        .args(args)
+        .output()
+        .expect("qid runs");
+    assert!(
+        output.status.success(),
+        "qid {args:?} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout)
+        .expect("utf-8 stdout")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The one line of `lines` that starts with `prefix`.
+fn line_with<'a>(lines: &'a [String], prefix: &str) -> &'a str {
+    let found: Vec<&String> = lines.iter().filter(|l| l.starts_with(prefix)).collect();
+    assert_eq!(found.len(), 1, "one {prefix:?} line expected in {lines:#?}");
+    found[0]
+}
+
+/// The CLI lines the CI crash-recovery job parses: `counters:` and
+/// `journal: …, N prior lives` from `qid wal`, and `durability:` from
+/// `qid query … metrics`, across a clean shutdown and a kill -9.
+#[test]
+fn cli_counter_lines_read_by_ci_are_exact() {
+    let dir = unique_dir("cli-lines");
+    let cache = dir.join("cache");
+    let csv = dir.join("data.csv");
+    write_fixture(&csv, 400);
+    let cache_arg = cache.to_str().unwrap();
+
+    // First life: one build miss, one hit, a clean shutdown.
+    let server = ServerUnderTest::spawn(&cache);
+    let mut client = server.client();
+    for _ in 0..2 {
+        let loaded = client
+            .call(&Request::Load {
+                ds: dsref(&csv),
+                mode: LoadMode::Stream,
+            })
+            .expect("load answered");
+        assert!(matches!(loaded, Response::Loaded { .. }), "{loaded:?}");
+    }
+    let lines = qid_stdout(&["query", &server.addr, "metrics"]);
+    assert_eq!(
+        line_with(&lines, "durability:"),
+        "durability: 0 prior lives of this cache dir, 0 journal events replayed at startup"
+    );
+    drop(client);
+    server.shutdown();
+    let lines = qid_stdout(&["wal", cache_arg]);
+    assert_eq!(
+        line_with(&lines, "journal:"),
+        "journal: 3 records, seq 1..=3, 1 prior lives"
+    );
+    assert_eq!(
+        line_with(&lines, "counters:"),
+        "counters: 1 hits, 1 misses, 0 disk hits, 0 evictions, 0 stale rebuilds, \
+         0 upgrades, 0 append updates, 0 sweep refreshes"
+    );
+
+    // Second life: the resident key is re-admitted (one disk hit), then
+    // the server is killed.
+    let server = ServerUnderTest::spawn(&cache);
+    let lines = qid_stdout(&["query", &server.addr, "metrics"]);
+    assert_eq!(
+        line_with(&lines, "durability:"),
+        "durability: 1 prior lives of this cache dir, 3 journal events replayed at startup"
+    );
+    let registry = line_with(&lines, "registry:");
+    assert!(
+        registry.starts_with("registry: 1 datasets (")
+            && registry.ends_with(" bytes resident), 1 cache hits, 1 cache misses, 1 disk hits"),
+        "{registry}"
+    );
+    assert_eq!(
+        line_with(&lines, "lifecycle:"),
+        "lifecycle: 0 evictions, 0 stale rebuilds, 0 upgrades, 0 append updates, 0 sweep refreshes"
+    );
+    server.kill9();
+    let lines = qid_stdout(&["wal", cache_arg]);
+    assert_eq!(
+        line_with(&lines, "journal:"),
+        "journal: 5 records, seq 1..=5, 2 prior lives"
+    );
+    assert_eq!(
+        line_with(&lines, "counters:"),
+        "counters: 1 hits, 1 misses, 1 disk hits, 0 evictions, 0 stale rebuilds, \
+         0 upgrades, 0 append updates, 0 sweep refreshes"
+    );
+}
